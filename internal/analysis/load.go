@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -177,6 +178,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 			strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
+		}
+		if ok, err := build.Default.MatchFile(abs, name); err != nil || !ok {
+			continue // excluded by its build constraints, as go build would
 		}
 		names = append(names, name)
 	}

@@ -5,7 +5,8 @@ package analysis
 // Two cooperating analyses run over every function:
 //
 //  1. Local acquisition tracking: a local assigned from
-//     netsim.NewPooledPacket or wire.GetBuf owns one reference. Retain
+//     netsim.NewPooledPacket, Node.NewPacket or wire.GetBuf owns one
+//     reference. Retain
 //     adds one, Release/PutBuf drops one, a deferred release counts at
 //     exit, and passing the value to a callee applies that callee's
 //     ownership summary (consume / borrow / unknown). A normal-return
@@ -65,9 +66,11 @@ func (m *Module) poolKindOf(fn *types.Func) poolKind {
 		if fn.Name() == "NewPooledPacket" {
 			return poolAcquire
 		}
-	case recvType == "Packet":
+	case recvType == "Packet" || recvType == "Node":
 		if prel, ok := m.Rel(recvPkg); ok && prel == "internal/netsim" {
 			switch fn.Name() {
+			case "NewPacket":
+				return poolAcquire
 			case "Release":
 				return poolRelease
 			case "Retain":

@@ -67,7 +67,7 @@ func (c *Comm) csend(dest, tag int, data []byte) error {
 		return err
 	}
 	req := c.pr.isend(w, tag, c.ctx+1, data, false)
-	_, err = c.pr.Wait(req)
+	_, err = c.pr.waitFree(req)
 	return err
 }
 
@@ -92,7 +92,7 @@ func (c *Comm) crecv(src, tag int, buf []byte) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st, err := c.pr.Wait(req)
+	st, err := c.pr.waitFree(req)
 	return c.fixStatus(st), err
 }
 
@@ -119,7 +119,7 @@ func (c *Comm) Barrier() error {
 		if _, err := c.crecv(from, tagBarrier, tok[:]); err != nil {
 			return err
 		}
-		if _, err := c.pr.Wait(sreq); err != nil {
+		if _, err := c.pr.waitFree(sreq); err != nil {
 			return err
 		}
 	}
@@ -258,7 +258,7 @@ func (c *Comm) exchange(peer int, data, tmp []byte) error {
 	if _, err := c.crecv(peer, tagAllreduce, tmp); err != nil {
 		return err
 	}
-	_, err = c.pr.Wait(sreq)
+	_, err = c.pr.waitFree(sreq)
 	return err
 }
 
@@ -350,7 +350,7 @@ func (c *Comm) ringAllreduce(data []byte, op Op) error {
 		if _, err := c.crecv(left, tagAllreduce, tmp[:rhi-rlo]); err != nil {
 			return err
 		}
-		if _, err := c.pr.Wait(sreq); err != nil {
+		if _, err := c.pr.waitFree(sreq); err != nil {
 			return err
 		}
 		op(data[rlo:rhi], tmp[:rhi-rlo])
@@ -368,7 +368,7 @@ func (c *Comm) ringAllreduce(data []byte, op Op) error {
 		if _, err := c.crecv(left, tagAllreduce, data[rlo:rhi]); err != nil {
 			return err
 		}
-		if _, err := c.pr.Wait(sreq); err != nil {
+		if _, err := c.pr.waitFree(sreq); err != nil {
 			return err
 		}
 	}
@@ -591,10 +591,10 @@ func (c *Comm) SendRecvColl(dest int, sendData []byte, src int, recvBuf []byte) 
 	}
 	sreq := c.pr.isend(wd, tagAlltoall, c.ctx+1, sendData, false)
 	rreq := c.pr.irecv(ws, tagAlltoall, c.ctx+1, recvBuf)
-	if _, err := c.pr.Wait(sreq); err != nil {
+	if _, err := c.pr.waitFree(sreq); err != nil {
 		return Status{}, err
 	}
-	st, err := c.pr.Wait(rreq)
+	st, err := c.pr.waitFree(rreq)
 	return c.fixStatus(st), err
 }
 

@@ -64,7 +64,7 @@ func (c *Comm) Send(dest, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.pr.Wait(req)
+	_, err = c.pr.waitFree(req)
 	return err
 }
 
@@ -75,7 +75,7 @@ func (c *Comm) Ssend(dest, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.pr.Wait(req)
+	_, err = c.pr.waitFree(req)
 	return err
 }
 
@@ -104,7 +104,7 @@ func (c *Comm) Recv(src, tag int, buf []byte) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st, err := c.pr.Wait(req)
+	st, err := c.pr.waitFree(req)
 	return c.fixStatus(st), err
 }
 
@@ -169,10 +169,10 @@ func (c *Comm) SendRecv(dest, sendTag int, sendData []byte, src, recvTag int, re
 	if err != nil {
 		return Status{}, err
 	}
-	if _, err := c.pr.Wait(sreq); err != nil {
+	if _, err := c.pr.waitFree(sreq); err != nil {
 		return Status{}, err
 	}
-	st, err := c.pr.Wait(rreq)
+	st, err := c.pr.waitFree(rreq)
 	return c.fixStatus(st), err
 }
 

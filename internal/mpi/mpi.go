@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/freelist"
 	"repro/internal/mpi/rpi"
 	"repro/internal/sim"
 )
@@ -56,6 +57,10 @@ type Request struct {
 	sendKind rpi.Kind
 	dest     int
 	expected int
+
+	// sentFn is sent bound once per Request struct (see onSent), kept
+	// when the struct is recycled.
+	sentFn func()
 }
 
 // Status returns the completion status; valid once Done.
@@ -66,6 +71,18 @@ func (r *Request) complete(err error) {
 	if err != nil && r.Err == nil {
 		r.Err = err
 	}
+}
+
+// sent completes a send whose body the module has buffered.
+func (r *Request) sent() { r.complete(nil) }
+
+// onSent returns the request's sent method as the module's onQueued
+// callback, binding it on first use only.
+func (r *Request) onSent() func() {
+	if r.sentFn == nil {
+		r.sentFn = r.sent
+	}
+	return r.sentFn
 }
 
 // inboxMsg is a buffered unexpected message.
@@ -88,6 +105,7 @@ type Process struct {
 	eagerLimit int
 
 	posted     []*Request
+	freeReqs   freelist.List[Request] // completed internal requests, reused
 	unexpected []inboxMsg
 	sendBySeq  map[uint64]*Request
 	recvBySeq  map[seqKey]*Request
@@ -178,9 +196,31 @@ func (pr *Process) RPI() rpi.RPI { return pr.rpi }
 
 // --- send path -------------------------------------------------------
 
+// newRequest returns a request from the free list, or a new one.
+func (pr *Process) newRequest() *Request {
+	if r := pr.freeReqs.Get(); r != nil {
+		return r
+	}
+	return &Request{pr: pr}
+}
+
+// waitFree waits for a request that never left the package (a blocking
+// call's own request) and recycles it once complete. A request cut
+// short by a terminal module error may still be referenced by the
+// matching tables and is left alone.
+func (pr *Process) waitFree(req *Request) (Status, error) {
+	st, err := pr.Wait(req)
+	if req.Done {
+		*req = Request{pr: pr, sentFn: req.sentFn}
+		pr.freeReqs.Put(req)
+	}
+	return st, err
+}
+
 // isend posts a send to a world rank and returns its request.
 func (pr *Process) isend(destWorld int, tag int, ctx int32, data []byte, sync bool) *Request {
-	req := &Request{pr: pr, isSend: true, dest: destWorld, tag: tag, ctx: ctx}
+	req := pr.newRequest()
+	req.isSend, req.dest, req.tag, req.ctx = true, destWorld, tag, ctx
 	pr.Stats.SendsPosted++
 	seq := pr.nextSeq
 	pr.nextSeq++
@@ -199,7 +239,7 @@ func (pr *Process) isend(destWorld int, tag int, ctx int32, data []byte, sync bo
 		env.Kind = rpi.KindShort
 		req.sendKind = rpi.KindShort
 		pr.Stats.EagerSends++
-		pr.rpi.Send(destWorld, env, data, func() { req.complete(nil) })
+		pr.rpi.Send(destWorld, env, data, req.onSent())
 	case sync && len(data) <= pr.eagerLimit:
 		// Synchronous short: eager body, completion on ACK.
 		env.Kind = rpi.KindSync
@@ -224,7 +264,8 @@ func (pr *Process) isend(destWorld int, tag int, ctx int32, data []byte, sync bo
 
 // irecv posts a receive. srcWorld is a world rank or AnySource.
 func (pr *Process) irecv(srcWorld int, tag int, ctx int32, buf []byte) *Request {
-	req := &Request{pr: pr, srcWorld: srcWorld, tag: tag, ctx: ctx, buf: buf}
+	req := pr.newRequest()
+	req.srcWorld, req.tag, req.ctx, req.buf = srcWorld, tag, ctx, buf
 	pr.Stats.RecvsPosted++
 	// Check the unexpected queue first, in arrival order.
 	for i := range pr.unexpected {
@@ -278,7 +319,7 @@ func (pr *Process) deliver(env rpi.Envelope, body []byte) {
 				Kind:    rpi.KindLongBody,
 				Seq:     req.seq,
 			}
-			pr.rpi.Send(req.dest, bodyEnv, req.buf, func() { req.complete(nil) })
+			pr.rpi.Send(req.dest, bodyEnv, req.buf, req.onSent())
 		}
 	case rpi.KindLongBody:
 		key := seqKey{env.Rank, env.Seq}

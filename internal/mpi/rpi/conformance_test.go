@@ -196,6 +196,44 @@ func checkPattern(buf []byte, salt byte) error {
 	return nil
 }
 
+// A send buffer may be reused as soon as comm.Send returns, even while
+// the message still waits behind earlier ones in the module's transmit
+// queue: eager sends complete when the module has its own copy. Rank 0
+// overwrites its one buffer right after every Send of a burst far
+// larger than the transport send buffer, so most messages are still
+// queued when their bytes are clobbered.
+func TestConformanceReuseAfterSend(t *testing.T) {
+	const size, msgs = 30 << 10, 24
+	for _, b := range backends() {
+		t.Run(b.name, func(t *testing.T) {
+			runWorld(t, b, 2, 0, func(pr *mpi.Process, comm *mpi.Comm) error {
+				buf := make([]byte, size)
+				if comm.Rank() == 0 {
+					for i := 0; i < msgs; i++ {
+						copy(buf, pattern(size, byte(i)))
+						if err := comm.Send(1, 0, buf); err != nil {
+							return err
+						}
+						for j := range buf {
+							buf[j] = 0xee
+						}
+					}
+					return nil
+				}
+				for i := 0; i < msgs; i++ {
+					if _, err := comm.Recv(0, 0, buf); err != nil {
+						return err
+					}
+					if err := checkPattern(buf, byte(i)); err != nil {
+						return fmt.Errorf("message %d: %w", i, err)
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
 // Short eager messages must arrive intact and in order.
 func TestConformanceShortEager(t *testing.T) {
 	for _, b := range backends() {

@@ -3,6 +3,7 @@ package rpi
 import (
 	"errors"
 
+	"repro/internal/freelist"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -63,12 +64,13 @@ type RecvKey struct {
 	Stream uint16
 }
 
+// msgOut is one queued middleware message: its encoded envelope, the
+// body copy it holds a reference on, and how far it is written.
 type msgOut struct {
-	env      []byte
-	body     []byte
-	off      int
-	envSent  bool
-	onQueued func()
+	env     [EnvelopeSize]byte
+	body    *Kept
+	off     int
+	envSent bool
 }
 
 // MsgSender queues outbound middleware messages for a message-oriented
@@ -86,8 +88,9 @@ type MsgSender struct {
 
 	inProg map[MsgKey]*msgOut
 	queued map[MsgKey][]*msgOut
-	ctrlQ  map[MsgKey][][]byte
-	active []MsgKey // keys with work, in arrival order (deterministic)
+	ctrlQ  map[MsgKey][][EnvelopeSize]byte
+	active []MsgKey              // keys with work, in arrival order (deterministic)
+	free   freelist.List[msgOut] // finished entries, reused by Send
 }
 
 // NewMsgSender builds a sender that pushes transport messages through
@@ -102,25 +105,31 @@ func NewMsgSender(bodyChunk int, optionC bool, ctrs Counters,
 		ctrs:      ctrs,
 		inProg:    make(map[MsgKey]*msgOut),
 		queued:    make(map[MsgKey][]*msgOut),
-		ctrlQ:     make(map[MsgKey][][]byte),
+		ctrlQ:     make(map[MsgKey][][EnvelopeSize]byte),
 	}
 }
 
 // Send queues one middleware message on its (peer, stream) writer and
-// flushes as far as the transport allows. Under Option C, bodiless
-// control envelopes (ACKs) bypass the writer lock.
-func (s *MsgSender) Send(key MsgKey, env Envelope, body []byte, onQueued func()) {
-	if s.OptionC && len(body) == 0 && !env.Kind.HasBody() {
+// flushes as far as the transport allows, holding a reference on body
+// until it is written. Under Option C, bodiless control envelopes
+// (ACKs) bypass the writer lock.
+func (s *MsgSender) Send(key MsgKey, env Envelope, body *Kept) {
+	if s.OptionC && body == nil && !env.Kind.HasBody() {
 		s.ctrs.Add("optionc_ctrl", 1)
-		s.ctrlQ[key] = append(s.ctrlQ[key], env.Encode())
+		var b [EnvelopeSize]byte
+		env.EncodeTo(&b)
+		s.ctrlQ[key] = append(s.ctrlQ[key], b)
 		s.ensureActive(key)
 		s.FlushKey(key)
-		if onQueued != nil {
-			onQueued()
-		}
 		return
 	}
-	msg := &msgOut{env: env.Encode(), body: body, onQueued: onQueued}
+	msg := s.free.Get()
+	if msg == nil {
+		msg = new(msgOut)
+	}
+	env.EncodeTo(&msg.env)
+	body.retain()
+	msg.body = body
 	if s.inProg[key] != nil {
 		// Option B: the stream is busy; wait behind it.
 		s.ctrs.Add("optionb_queued", 1)
@@ -130,6 +139,13 @@ func (s *MsgSender) Send(key MsgKey, env Envelope, body []byte, onQueued func())
 	s.inProg[key] = msg
 	s.ensureActive(key)
 	s.FlushKey(key)
+}
+
+// drop lets go of an entry: its body reference, then the entry itself.
+func (s *MsgSender) drop(msg *msgOut) {
+	msg.body.release()
+	*msg = msgOut{}
+	s.free.Put(msg)
 }
 
 func (s *MsgSender) ensureActive(key MsgKey) {
@@ -160,23 +176,24 @@ func (s *MsgSender) FlushKey(key MsgKey) int {
 		// Control messages jump the line (Option C); interleaving them
 		// between body chunks is safe because frame types are
 		// distinguished by PPID.
-		for len(s.ctrlQ[key]) > 0 {
-			envBytes := s.ctrlQ[key][0]
-			err := s.trySend(key, PPIDEnvelope, envBytes)
+		for q := s.ctrlQ[key]; len(q) > 0; q = s.ctrlQ[key] {
+			err := s.trySend(key, PPIDEnvelope, q[0][:])
 			if errors.Is(err, transport.ErrWouldBlock) {
 				return sent
 			}
 			if err != nil {
 				s.ctrs.Add("send_errors", 1)
 			}
-			s.ctrlQ[key] = s.ctrlQ[key][1:]
+			s.ctrlQ[key] = q[:copy(q, q[1:])]
 			sent++
 		}
 		msg := s.inProg[key]
 		if msg == nil {
 			if q := s.queued[key]; len(q) > 0 {
 				msg = q[0]
-				s.queued[key] = q[1:]
+				n := copy(q, q[1:])
+				q[n] = nil
+				s.queued[key] = q[:n]
 				s.inProg[key] = msg
 			} else {
 				s.removeActive(key)
@@ -184,7 +201,7 @@ func (s *MsgSender) FlushKey(key MsgKey) int {
 			}
 		}
 		if !msg.envSent {
-			err := s.trySend(key, PPIDEnvelope, msg.env)
+			err := s.trySend(key, PPIDEnvelope, msg.env[:])
 			if errors.Is(err, transport.ErrWouldBlock) {
 				return sent
 			}
@@ -196,12 +213,13 @@ func (s *MsgSender) FlushKey(key MsgKey) int {
 			msg.envSent = true
 			sent++
 		}
-		for msg.off < len(msg.body) {
+		body := msg.body.data()
+		for msg.off < len(body) {
 			end := msg.off + s.BodyChunk
-			if end > len(msg.body) {
-				end = len(msg.body)
+			if end > len(body) {
+				end = len(body)
 			}
-			err := s.trySend(key, PPIDBody, msg.body[msg.off:end])
+			err := s.trySend(key, PPIDBody, body[msg.off:end])
 			if errors.Is(err, transport.ErrWouldBlock) {
 				return sent
 			}
@@ -218,9 +236,7 @@ func (s *MsgSender) FlushKey(key MsgKey) int {
 
 func (s *MsgSender) finishMsg(key MsgKey, msg *msgOut) {
 	s.inProg[key] = nil
-	if msg.onQueued != nil {
-		msg.onQueued()
-	}
+	s.drop(msg)
 }
 
 // DropPeer discards all outbound state destined for peer rank: queued
@@ -229,13 +245,19 @@ func (s *MsgSender) finishMsg(key MsgKey, msg *msgOut) {
 // the session layer on a fresh transport session, so partially written
 // frames must not linger here.
 func (s *MsgSender) DropPeer(rank int) {
-	for key := range s.inProg {
+	for key, msg := range s.inProg {
 		if key.Rank == rank {
+			if msg != nil {
+				s.drop(msg)
+			}
 			delete(s.inProg, key)
 		}
 	}
-	for key := range s.queued {
+	for key, q := range s.queued {
 		if key.Rank == rank {
+			for _, msg := range q {
+				s.drop(msg)
+			}
 			delete(s.queued, key)
 		}
 	}
@@ -282,24 +304,24 @@ const (
 )
 
 type recvState struct {
-	env     Envelope
-	haveEnv bool
-	body    []byte
+	env  Envelope
+	body []byte
 }
 
 // Reassembler rebuilds middleware messages from per-stream chunk
 // trains: an envelope frame announces the message, body frames follow
 // on the same (peer, stream). This is the "maintaining state per
 // stream" design of paper §3.2.4, with PPID disambiguating envelope
-// from body so Option C interleaving is safe.
+// from body so Option C interleaving is safe. A stream with an entry in
+// rstate is inside a body train.
 type Reassembler struct {
 	ctrs   Counters
-	rstate map[RecvKey]*recvState
+	rstate map[RecvKey]recvState
 }
 
 // NewReassembler builds a reassembler charging frame errors to ctrs.
 func NewReassembler(ctrs Counters) *Reassembler {
-	return &Reassembler{ctrs: ctrs, rstate: make(map[RecvKey]*recvState)}
+	return &Reassembler{ctrs: ctrs, rstate: make(map[RecvKey]recvState)}
 }
 
 // Drop discards all partial reassembly state for transport identity id
@@ -323,8 +345,8 @@ func (r *Reassembler) Drop(id int64) {
 // transport message carries an entire body it is returned directly,
 // without a copy, so the caller must not reuse the slice.
 func (r *Reassembler) Feed(key RecvKey, ppid uint32, data []byte) (FeedResult, Envelope, []byte) {
-	rs := r.rstate[key]
-	if rs != nil && rs.haveEnv && ppid != PPIDEnvelope {
+	rs, inBody := r.rstate[key]
+	if inBody && ppid != PPIDEnvelope {
 		// Continuation chunk of a long middleware message on this
 		// stream. Under Option B the chunks are contiguous; under
 		// Option C a control envelope may be interleaved, but it
@@ -333,9 +355,8 @@ func (r *Reassembler) Feed(key RecvKey, ppid uint32, data []byte) (FeedResult, E
 		if rs.body == nil && len(data) >= rs.env.Length {
 			// The whole body in one message (the common case for
 			// message-oriented transports): hand it through as-is.
-			env := rs.env
 			delete(r.rstate, key)
-			return FeedMessage, env, data
+			return FeedMessage, rs.env, data
 		}
 		if rs.body == nil {
 			rs.body = wire.GetBuf(rs.env.Length)[:0]
@@ -343,10 +364,10 @@ func (r *Reassembler) Feed(key RecvKey, ppid uint32, data []byte) (FeedResult, E
 		rs.body = append(rs.body, data...)
 		wire.PutBuf(data) // copied out; recycle the transport's buffer
 		if len(rs.body) >= rs.env.Length {
-			env, body := rs.env, rs.body
 			delete(r.rstate, key)
-			return FeedMessage, env, body
+			return FeedMessage, rs.env, rs.body
 		}
+		r.rstate[key] = rs
 		return FeedNone, Envelope{}, nil
 	}
 	// An envelope: either fresh traffic on this stream or an Option C
@@ -365,7 +386,7 @@ func (r *Reassembler) Feed(key RecvKey, ppid uint32, data []byte) (FeedResult, E
 	if !env.Kind.HasBody() || env.Length == 0 {
 		return FeedMessage, env, nil
 	}
-	if rs != nil && rs.haveEnv {
+	if inBody {
 		// A data envelope arriving inside another message's body train
 		// violates the writer lock (Option B) / PPID protocol.
 		r.ctrs.Add("frame_errors", 1)
@@ -373,6 +394,6 @@ func (r *Reassembler) Feed(key RecvKey, ppid uint32, data []byte) (FeedResult, E
 	}
 	// body stays nil until the first continuation chunk so a
 	// single-message body can be passed through without copying.
-	r.rstate[key] = &recvState{env: env, haveEnv: true}
+	r.rstate[key] = recvState{env: env}
 	return FeedNone, Envelope{}, nil
 }

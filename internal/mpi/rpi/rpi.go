@@ -6,6 +6,7 @@
 package rpi
 
 import (
+	"encoding/binary"
 	"time"
 
 	"repro/internal/sim"
@@ -88,20 +89,26 @@ type Envelope struct {
 // EnvelopeSize is the fixed wire size of an encoded envelope.
 const EnvelopeSize = 48
 
-// Encode serializes the envelope.
+// Encode serializes the envelope into a new slice.
 func (e *Envelope) Encode() []byte {
-	w := wire.NewWriter(EnvelopeSize)
-	w.U32(uint32(e.Length))
-	w.U32(uint32(e.Tag))
-	w.U32(uint32(e.Context))
-	w.U32(uint32(e.Rank))
-	w.U32(uint32(e.Kind))
-	w.U64(e.Seq)
-	w.U64(e.SSeq)
-	w.U64(e.SAck)
-	w.U32(e.SEpoch)
-	w.Pad(EnvelopeSize)
-	return w.B
+	var b [EnvelopeSize]byte
+	e.EncodeTo(&b)
+	return b[:]
+}
+
+// EncodeTo serializes the envelope into b, the allocation-free form the
+// transmit queues use.
+func (e *Envelope) EncodeTo(b *[EnvelopeSize]byte) {
+	be := binary.BigEndian
+	be.PutUint32(b[0:], uint32(e.Length))
+	be.PutUint32(b[4:], uint32(e.Tag))
+	be.PutUint32(b[8:], uint32(e.Context))
+	be.PutUint32(b[12:], uint32(e.Rank))
+	be.PutUint32(b[16:], uint32(e.Kind))
+	be.PutUint64(b[20:], e.Seq)
+	be.PutUint64(b[28:], e.SSeq)
+	be.PutUint64(b[36:], e.SAck)
+	be.PutUint32(b[44:], e.SEpoch)
 }
 
 // DecodeEnvelope parses an envelope from b.
@@ -136,9 +143,11 @@ type RPI interface {
 	// called before Init.
 	SetDelivery(d Delivery)
 
-	// Send queues one message to the destination world rank. onQueued,
-	// if non-nil, runs when the message has been fully handed to the
-	// transport (the completion point for buffered eager sends).
+	// Send queues one message to the destination world rank. The module
+	// must not read body after Send returns: the caller may reuse the
+	// buffer at once, so a module that transmits later keeps a copy.
+	// onQueued, if non-nil, runs once the message is buffered that way
+	// (the completion point for buffered eager sends).
 	Send(dest int, env Envelope, body []byte, onQueued func())
 
 	// Advance progresses outstanding transport work, invoking the

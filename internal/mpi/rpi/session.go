@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // This file is the session-recovery half of the shared engine: a
@@ -96,10 +98,52 @@ func (c SessionConfig) budget() int {
 
 // Retained is one unacknowledged outbound message held for possible
 // replay. Env is the stamped envelope (SSeq assigned); SEpoch and SAck
-// are refreshed when the entry is replayed.
+// are refreshed when the entry is replayed. Body is nil for a bodiless
+// message.
 type Retained struct {
 	Env  Envelope
-	Body []byte
+	Body *Kept
+}
+
+// Kept is the session layer's copy of one outbound message body, in a
+// wire-pool buffer. The retention list holds one reference until the
+// peer acknowledges the message; each transmit queue entry writing the
+// body (MsgSender, OutQueue) holds another until the body is written out
+// or the entry is dropped. The last reference returns the buffer to the
+// pool and the Kept to its Sessions' free list. A nil *Kept is an empty
+// body.
+type Kept struct {
+	b    []byte
+	refs int32
+	ss   *Sessions
+}
+
+// data returns the body.
+func (k *Kept) data() []byte {
+	if k == nil {
+		return nil
+	}
+	return k.b
+}
+
+func (k *Kept) retain() {
+	if k != nil {
+		k.refs++
+	}
+}
+
+func (k *Kept) release() {
+	if k == nil {
+		return
+	}
+	k.refs--
+	if k.refs > 0 {
+		return
+	}
+	wire.PutBuf(k.b)
+	ss := k.ss
+	*k = Kept{ss: ss}
+	ss.freeKept.Put(k)
 }
 
 // Session is the recovery state for one peer.
@@ -131,7 +175,8 @@ type Sessions struct {
 	cfg  SessionConfig
 	sess []*Session
 
-	replayed int // global replay counter for the drop mutation
+	freeKept freelist.List[Kept] // released body copies, reused by StampOut
+	replayed int                 // global replay counter for the drop mutation
 }
 
 // NewSessions builds the recovery layer for a module of the given
@@ -148,22 +193,43 @@ func NewSessions(e *Engine, k *sim.Kernel, size int, cfg SessionConfig) *Session
 func (ss *Sessions) Get(peer int) *Session { return ss.sess[peer] }
 
 // StampOut stamps one outbound middleware envelope with its session
-// fields, retains a copy (body included) for possible replay, and
-// reports whether the module should transmit it now. While the session
-// is recovering the message is retention-only: it will reach the peer
-// as part of the replay gap once the handshake completes.
-func (ss *Sessions) StampOut(peer int, env *Envelope, body []byte) bool {
+// fields and retains a copy (body included) for possible replay. It
+// returns the body copy, which is what the module transmits (the caller
+// may reuse body as soon as Send returns), and whether to transmit it
+// now. While the session is recovering the message is retention-only:
+// it will reach the peer as part of the replay gap once the handshake
+// completes.
+func (ss *Sessions) StampOut(peer int, env *Envelope, body []byte) (kept *Kept, up bool) {
 	s := ss.sess[peer]
 	env.SSeq = s.nextSeq
 	s.nextSeq++
 	env.SEpoch = s.Epoch
 	env.SAck = s.recvCum
-	var kept []byte
 	if len(body) > 0 {
-		kept = append([]byte(nil), body...)
+		kept = ss.keep(body)
 	}
 	s.retain = append(s.retain, Retained{Env: *env, Body: kept})
-	return s.State == SessUp
+	return kept, s.State == SessUp
+}
+
+// keep copies body into a pooled Kept holding the retention's reference.
+func (ss *Sessions) keep(body []byte) *Kept {
+	k := ss.freeKept.Get()
+	if k == nil {
+		k = &Kept{ss: ss}
+	}
+	k.b = wire.GetBuf(len(body))
+	copy(k.b, body)
+	k.refs = 1
+	return k
+}
+
+// Close drops every retained message (module teardown). Bodies still
+// queued for transmission stay alive until their queue lets go.
+func (ss *Sessions) Close() {
+	for _, s := range ss.sess {
+		ss.prune(s, s.nextSeq)
+	}
 }
 
 // Accept runs receiver-side session processing on one complete inbound
@@ -197,10 +263,13 @@ func (ss *Sessions) Accept(peer int, env *Envelope) bool {
 func (ss *Sessions) prune(s *Session, ack uint64) {
 	i := 0
 	for i < len(s.retain) && s.retain[i].Env.SSeq <= ack {
+		s.retain[i].Body.release()
 		i++
 	}
 	if i > 0 {
-		s.retain = append(s.retain[:0], s.retain[i:]...)
+		n := copy(s.retain, s.retain[i:])
+		clear(s.retain[n:])
+		s.retain = s.retain[:n]
 	}
 }
 

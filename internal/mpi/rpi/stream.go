@@ -3,6 +3,8 @@ package rpi
 import (
 	"errors"
 
+	"repro/internal/fifo"
+	"repro/internal/freelist"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -12,32 +14,40 @@ import (
 // state machine that byte-oriented transports (the TCP module) need
 // and message-oriented ones do not.
 
-// outMsg is one queued outbound message: encoded envelope plus body,
-// with partial-write state.
+// outMsg is one queued outbound message: encoded envelope plus the body
+// copy it holds a reference on, with partial-write state.
 type outMsg struct {
-	env      []byte
-	body     []byte
-	off      int // bytes written across env+body
-	onQueued func()
+	env  [EnvelopeSize]byte
+	body *Kept
+	off  int // bytes written across env+body
 }
 
-func (m *outMsg) total() int { return len(m.env) + len(m.body) }
+func (m *outMsg) total() int { return EnvelopeSize + len(m.body.data()) }
 
 // OutQueue is a per-connection outbound queue for byte-stream
 // transports: one message at a time with partial-write resumption,
 // exactly as LAM's nonblocking TCP writer works.
 type OutQueue struct {
-	wq  []*outMsg
-	cur *outMsg
+	wq   fifo.Queue[*outMsg]
+	cur  *outMsg
+	free freelist.List[outMsg] // finished entries, reused by Push
 }
 
-// Push appends one message to the queue.
-func (q *OutQueue) Push(env Envelope, body []byte, onQueued func()) {
-	q.wq = append(q.wq, &outMsg{env: env.Encode(), body: body, onQueued: onQueued})
+// Push appends one message to the queue, which holds a reference on
+// body until the message is written or discarded.
+func (q *OutQueue) Push(env Envelope, body *Kept) {
+	msg := q.free.Get()
+	if msg == nil {
+		msg = new(outMsg)
+	}
+	env.EncodeTo(&msg.env)
+	body.retain()
+	msg.body = body
+	q.wq.Push(msg)
 }
 
 // Pending reports whether the queue holds unfinished work.
-func (q *OutQueue) Pending() bool { return q.cur != nil || len(q.wq) > 0 }
+func (q *OutQueue) Pending() bool { return q.cur != nil || q.wq.Len() > 0 }
 
 // Flush writes queued messages until the transport would block,
 // returning the number of bytes moved into it. A terminal write error
@@ -47,19 +57,18 @@ func (q *OutQueue) Flush(tryWrite func([]byte) (int, error), onError func(error)
 	wrote := 0
 	for {
 		if q.cur == nil {
-			if len(q.wq) == 0 {
+			if q.wq.Len() == 0 {
 				return wrote
 			}
-			q.cur = q.wq[0]
-			q.wq = q.wq[1:]
+			q.cur = q.wq.Pop()
 		}
 		msg := q.cur
 		for msg.off < msg.total() {
 			var chunk []byte
-			if msg.off < len(msg.env) {
+			if msg.off < EnvelopeSize {
 				chunk = msg.env[msg.off:]
 			} else {
-				chunk = msg.body[msg.off-len(msg.env):]
+				chunk = msg.body.data()[msg.off-EnvelopeSize:]
 			}
 			n, err := tryWrite(chunk)
 			msg.off += n
@@ -73,17 +82,30 @@ func (q *OutQueue) Flush(tryWrite func([]byte) (int, error), onError func(error)
 			}
 		}
 		q.cur = nil
-		if msg.onQueued != nil {
-			msg.onQueued()
-		}
+		q.drop(msg)
 	}
+}
+
+// drop lets go of a message: its body reference, then the entry.
+func (q *OutQueue) drop(msg *outMsg) {
+	msg.body.release()
+	*msg = outMsg{}
+	q.free.Put(msg)
 }
 
 // Reset discards all queued and partially written messages. Used when
 // the connection dies: unacknowledged messages are replayed from the
 // session layer's retention on the replacement connection, so nothing
-// here is worth keeping (bodies are caller-owned and not pooled).
-func (q *OutQueue) Reset() { q.wq, q.cur = nil, nil }
+// here is worth keeping.
+func (q *OutQueue) Reset() {
+	if q.cur != nil {
+		q.drop(q.cur)
+		q.cur = nil
+	}
+	for q.wq.Len() > 0 {
+		q.drop(q.wq.Pop())
+	}
+}
 
 // StreamFramer is the per-connection inbound state machine for
 // byte-stream transports: EnvelopeSize envelope bytes, then Length

@@ -221,11 +221,11 @@ func (m *Module) trySend(key rpi.MsgKey, ppid uint32, data []byte) error {
 
 // Send implements rpi.RPI: same Option B/C writer lock as the
 // one-to-many module, keyed by (peer, stream). The session layer
-// retains every message until acknowledged; the retained copy is the
-// buffered-send completion point, so onQueued fires here. While the
-// session is down the message is retention-only.
+// retains a copy of every message until acknowledged; that copy is what
+// gets queued, so it is the buffered-send completion point and onQueued
+// fires here. While the session is down the message is retention-only.
 func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) {
-	up := m.sess.StampOut(dest, &env, body)
+	kept, up := m.sess.StampOut(dest, &env, body)
 	m.CountSend(len(body))
 	if onQueued != nil {
 		onQueued()
@@ -234,7 +234,7 @@ func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) 
 		return
 	}
 	key := rpi.MsgKey{Rank: dest, Stream: m.StreamFor(env.Context, env.Tag)}
-	m.sender.Send(key, env, body, nil)
+	m.sender.Send(key, env, kept)
 }
 
 // Advance implements rpi.RPI: drain the readiness queue, pumping only
@@ -295,6 +295,7 @@ func (m *Module) pumpPeer(p *sim.Proc, r int) bool {
 		if m.handleInbound(p, r, msg) {
 			progress = true
 		}
+		c.ReleaseMsg(msg)
 	}
 	if r != m.Rank && m.peers[r] == nil && m.sess.RedialDue(r) {
 		m.redial(p, r)
@@ -349,7 +350,7 @@ func (m *Module) redial(p *sim.Proc, r int) {
 // sendHandshake queues one recovery handshake envelope (stream 0,
 // unsessioned) through the shared writer.
 func (m *Module) sendHandshake(r int, env rpi.Envelope) {
-	m.sender.Send(rpi.MsgKey{Rank: r, Stream: 0}, env, nil, nil)
+	m.sender.Send(rpi.MsgKey{Rank: r, Stream: 0}, env, nil)
 }
 
 // replayGap queues the negotiated retention gap on the replacement
@@ -358,7 +359,7 @@ func (m *Module) sendHandshake(r int, env rpi.Envelope) {
 func (m *Module) replayGap(r int, gap []rpi.Retained) {
 	for _, rt := range gap {
 		key := rpi.MsgKey{Rank: r, Stream: m.StreamFor(rt.Env.Context, rt.Env.Tag)}
-		m.sender.Send(key, rt.Env, rt.Body, nil)
+		m.sender.Send(key, rt.Env, rt.Body)
 	}
 }
 
@@ -401,6 +402,7 @@ func (m *Module) drainPending(p *sim.Proc) bool {
 		progress = true
 		env, derr := rpi.DecodeEnvelope(msg.Data)
 		wire.PutBuf(msg.Data)
+		c.ReleaseMsg(msg)
 		r := int(env.Rank)
 		if derr != nil || r < 0 || r >= m.Size || r == m.Rank {
 			c.Abort()
@@ -505,6 +507,9 @@ func (m *Module) Finalize(p *sim.Proc) {
 	if m.listener != nil {
 		m.listener.Close()
 	}
+	if m.sess != nil {
+		m.sess.Close()
+	}
 }
 
 // Abort implements rpi.RPI: abortive teardown after a terminal error.
@@ -524,5 +529,8 @@ func (m *Module) Abort(p *sim.Proc) {
 	m.pending = nil
 	if m.listener != nil {
 		m.listener.Close()
+	}
+	if m.sess != nil {
+		m.sess.Close()
 	}
 }

@@ -204,11 +204,12 @@ func (m *Module) trySend(key rpi.MsgKey, ppid uint32, data []byte) error {
 // queue behind any in-progress message on that (peer, stream). Under
 // Option C, bodiless control messages (ACKs) bypass the queue and are
 // interleaved between body chunks, distinguished on the wire by PPID.
-// The session layer retains every message until acknowledged; the
-// retained copy is the buffered-send completion point, so onQueued
-// fires here. While the session is down the message is retention-only.
+// The session layer retains a copy of every message until acknowledged;
+// that copy is what gets queued, so it is the buffered-send completion
+// point and onQueued fires here. While the session is down the message
+// is retention-only.
 func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) {
-	up := m.sess.StampOut(dest, &env, body)
+	kept, up := m.sess.StampOut(dest, &env, body)
 	m.CountSend(len(body))
 	if onQueued != nil {
 		onQueued()
@@ -218,7 +219,7 @@ func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) 
 	}
 	key := rpi.MsgKey{Rank: dest, Stream: m.StreamFor(env.Context, env.Tag)}
 	m.stampClass(key, env.Kind)
-	m.sender.Send(key, env, body, nil)
+	m.sender.Send(key, env, kept)
 }
 
 // stampClass tells a chunk-interleaving transport scheduler what this
@@ -273,6 +274,7 @@ func (m *Module) onEvent(p *sim.Proc, ev transport.Ready) bool {
 		if m.handleInbound(p, msg) {
 			progress = true
 		}
+		m.sock.ReleaseMsg(msg)
 	}
 	if m.sender.FlushActive() {
 		progress = true
@@ -321,7 +323,7 @@ func (m *Module) redial(p *sim.Proc, r int) {
 func (m *Module) sendHandshake(r int, env rpi.Envelope) {
 	key := rpi.MsgKey{Rank: r, Stream: 0}
 	m.stampClass(key, env.Kind)
-	m.sender.Send(key, env, nil, nil)
+	m.sender.Send(key, env, nil)
 }
 
 // replayGap queues the negotiated retention gap, each message on its
@@ -331,7 +333,7 @@ func (m *Module) replayGap(r int, gap []rpi.Retained) {
 	for _, rt := range gap {
 		key := rpi.MsgKey{Rank: r, Stream: m.StreamFor(rt.Env.Context, rt.Env.Tag)}
 		m.stampClass(key, rt.Env.Kind)
-		m.sender.Send(key, rt.Env, rt.Body, nil)
+		m.sender.Send(key, rt.Env, rt.Body)
 	}
 }
 
@@ -492,6 +494,9 @@ func (m *Module) Finalize(p *sim.Proc) {
 	if m.sock != nil {
 		m.sock.Close()
 	}
+	if m.sess != nil {
+		m.sess.Close()
+	}
 }
 
 // Abort implements rpi.RPI: abortive teardown after a terminal error.
@@ -509,4 +514,5 @@ func (m *Module) Abort(p *sim.Proc) {
 		}
 	}
 	m.sock.Close()
+	m.sess.Close()
 }

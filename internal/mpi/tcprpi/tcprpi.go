@@ -203,13 +203,13 @@ func (m *Module) bindPeerConn(r int, c *tcp.Conn) {
 	m.Poller().Post(id, transport.ReadyRecv)
 }
 
-// Send implements rpi.RPI. Every middleware message is stamped and
-// retained by the session layer; the retained copy is the buffered-send
-// completion point, so onQueued fires here regardless of session state.
-// While the session is down the message is retention-only and reaches
-// the peer in the replay gap after recovery.
+// Send implements rpi.RPI. Every middleware message is stamped and a
+// copy retained by the session layer; that copy is what gets queued, so
+// it is the buffered-send completion point and onQueued fires here
+// regardless of session state. While the session is down the message is
+// retention-only and reaches the peer in the replay gap after recovery.
 func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) {
-	up := m.sess.StampOut(dest, &env, body)
+	kept, up := m.sess.StampOut(dest, &env, body)
 	m.CountSend(len(body))
 	if onQueued != nil {
 		onQueued()
@@ -218,7 +218,7 @@ func (m *Module) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) 
 		return
 	}
 	pe := m.peers[dest]
-	pe.out.Push(env, body, nil)
+	pe.out.Push(env, kept)
 	pe.out.Flush(pe.conn.TryWrite, m.sendError)
 }
 
@@ -333,7 +333,7 @@ func (m *Module) redial(p *sim.Proc, r int) {
 	pe.out.Reset()
 	pe.in.Reset()
 	m.Counters().Add("connections", 1)
-	pe.out.Push(m.sess.ReconnectEnv(r), nil, nil)
+	pe.out.Push(m.sess.ReconnectEnv(r), nil)
 	pe.out.Flush(c.TryWrite, m.sendError)
 }
 
@@ -346,7 +346,7 @@ func (m *Module) inbound(p *sim.Proc, r int, env rpi.Envelope, body []byte) {
 	case rpi.KindReconnect:
 		pe := m.peers[r]
 		ack, gap := m.sess.OnReconnect(r, env)
-		pe.out.Push(ack, nil, nil)
+		pe.out.Push(ack, nil)
 		m.pushReplay(pe, gap)
 		pe.out.Flush(pe.conn.TryWrite, m.sendError)
 		m.sess.Resume(r)
@@ -374,7 +374,7 @@ func (m *Module) inbound(p *sim.Proc, r int, env rpi.Envelope, body []byte) {
 // send was already counted and recorded.
 func (m *Module) pushReplay(pe *peer, gap []rpi.Retained) {
 	for _, rt := range gap {
-		pe.out.Push(rt.Env, rt.Body, nil)
+		pe.out.Push(rt.Env, rt.Body)
 	}
 }
 
@@ -503,7 +503,7 @@ func (m *Module) pendingMsg(p *sim.Proc, pc *pendingConn, env rpi.Envelope, body
 	m.bindPeerConn(r, pc.conn)
 	m.Counters().Add("connections", 1)
 	ack, gap := m.sess.OnReconnect(r, env)
-	pe.out.Push(ack, nil, nil)
+	pe.out.Push(ack, nil)
 	m.pushReplay(pe, gap)
 	pe.out.Flush(pe.conn.TryWrite, m.sendError)
 	m.sess.Resume(r)
@@ -534,6 +534,9 @@ func (m *Module) Finalize(p *sim.Proc) {
 	if m.listener != nil {
 		m.listener.Close()
 	}
+	if m.sess != nil {
+		m.sess.Close()
+	}
 }
 
 // Abort implements rpi.RPI: abortive teardown after a terminal error.
@@ -553,5 +556,8 @@ func (m *Module) Abort(p *sim.Proc) {
 	m.pending = nil
 	if m.listener != nil {
 		m.listener.Close()
+	}
+	if m.sess != nil {
+		m.sess.Close()
 	}
 }

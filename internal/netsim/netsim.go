@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -58,19 +59,47 @@ func (a Addr) String() string {
 
 // Packet is an IP datagram in flight.
 //
-// A packet built with NewPooledPacket carries a payload from the shared
-// buffer pool and a reference count. Ownership transfers to the network
-// at Node.Send; the network releases the payload on every drop path and
-// after delivering it to the protocol handler. A handler that keeps a
-// sub-slice of the payload alive past its return (e.g. SCTP reassembly
-// fragments) must Retain the packet and Release it when done. Packets
-// built as plain literals have no pool backing, and Retain/Release are
-// no-ops on them.
+// Packets are pooled per network. Node.NewPacket takes one from the
+// network's free list around a payload obtained from wire.GetBuf; the
+// packet carries a reference count. Ownership transfers to the network
+// at Node.Send; the network releases the packet on every drop path and
+// after delivering it to the protocol handler, and the last release
+// returns the payload to the wire pool and the struct to the free list.
+// A handler that keeps a sub-slice of the payload alive past its return
+// (e.g. SCTP reassembly fragments) must Retain the packet and Release it
+// when done; otherwise it must not touch the packet after returning,
+// because the struct is reused for a later packet.
+//
+// NewPooledPacket and plain literals build packets outside any network
+// (tools and tests). Node.Send moves such a packet into a struct of the
+// network's own before it travels, and a literal's payload is never
+// recycled.
 type Packet struct {
 	Src, Dst Addr
 	Proto    uint8
 	Payload  []byte
-	refs     int32 // remaining pool references; 0 when not pooled
+
+	refs   int32    // references held; 0 once released (or never pooled)
+	pooled bool     // Payload belongs to the wire pool
+	net    *Network // the network whose free list this struct returns to
+	parent *Packet  // for a copy made in flight: the packet whose payload it shares
+
+	// Where the packet goes next. arriveFn is arrive, bound once when the
+	// network allocates the struct, so scheduling an arrival allocates
+	// nothing.
+	arriveFn func()
+	dst      *Iface   // receiving interface
+	path     []*Port  // routed hops; hop indexes the one being crossed
+	hop      int      // (or, on a subtree, the stage it is crossing)
+	mcast    bool     // a multicast copy
+	subtree  *subtree // routed multicast: the members behind this copy
+}
+
+// subtree is the set of multicast members a routed copy carries on
+// behalf of, with their routes.
+type subtree struct {
+	dsts  []*Iface
+	paths [][]*Port
 }
 
 // livePooled counts pooled packets whose payload has not yet been
@@ -86,40 +115,96 @@ var livePooled int64
 //simlint:allow nopreempt process-global leak counter shared by kernels running concurrently in parallel sweeps; it is observability only and never feeds back into virtual-time behavior
 func LivePooledPackets() int64 { return atomic.LoadInt64(&livePooled) }
 
-// NewPooledPacket wraps a payload obtained from wire.GetBuf in a packet
-// that returns it to the pool once the last reference is released.
-func NewPooledPacket(src, dst Addr, proto uint8, payload []byte) *Packet {
+// countPooled moves the leak counter by delta.
+func countPooled(delta int64) {
 	//simlint:allow nopreempt leak counter is shared across concurrently sweeping kernels; the value never influences simulation decisions
-	atomic.AddInt64(&livePooled, 1)
-	return &Packet{Src: src, Dst: dst, Proto: proto, Payload: payload, refs: 1}
+	atomic.AddInt64(&livePooled, delta)
 }
 
-// Retain adds a reference to a pooled payload.
+// NewPooledPacket wraps a payload obtained from wire.GetBuf in a packet
+// that belongs to no network, for code that builds packets outside one.
+// Simulated hosts use Node.NewPacket, which draws from the network's
+// free list instead of allocating.
+func NewPooledPacket(src, dst Addr, proto uint8, payload []byte) *Packet {
+	countPooled(1)
+	return &Packet{Src: src, Dst: dst, Proto: proto, Payload: payload, refs: 1, pooled: true}
+}
+
+// Retain adds a reference to a pooled packet.
 func (p *Packet) Retain() {
 	if p.refs > 0 {
 		p.refs++
 	}
 }
 
-// Release drops one reference; the last drop recycles the payload. The
-// payload is nilled so a use-after-release fails loudly instead of
-// reading recycled bytes.
+// Release drops one reference. The last one returns the payload to the
+// wire pool and the struct to its network's free list (a copy releases
+// the packet it shares the payload with instead).
 func (p *Packet) Release() {
 	if p.refs == 0 {
 		return
 	}
 	p.refs--
-	if p.refs == 0 {
+	if p.refs > 0 {
+		return
+	}
+	if p.pooled {
 		wire.PutBuf(p.Payload)
-		p.Payload = nil
-		//simlint:allow nopreempt leak counter is shared across concurrently sweeping kernels; the value never influences simulation decisions
-		atomic.AddInt64(&livePooled, -1)
+		countPooled(-1)
+	}
+	n, parent := p.net, p.parent
+	*p = Packet{net: n, arriveFn: p.arriveFn}
+	if n != nil {
+		n.free.Put(p)
+	}
+	if parent != nil {
+		parent.Release()
 	}
 }
 
 // WireSize returns the on-the-wire size of the packet including the IP
 // header.
 func (p *Packet) WireSize() int { return len(p.Payload) + IPHeaderSize }
+
+// alloc takes a packet struct from the free list.
+func (n *Network) alloc() *Packet {
+	p := n.free.Get()
+	if p == nil {
+		p = &Packet{net: n}
+		p.arriveFn = p.arrive
+	}
+	return p
+}
+
+// adopt moves a packet built outside the network into one of its own
+// structs, which is what travels; the caller gave the original up at
+// Send.
+func (n *Network) adopt(pkt *Packet) *Packet {
+	q := n.alloc()
+	q.Src, q.Dst, q.Proto, q.Payload = pkt.Src, pkt.Dst, pkt.Proto, pkt.Payload
+	q.pooled = pkt.pooled && pkt.refs > 0
+	q.refs = 1
+	pkt.refs, pkt.Payload = 0, nil
+	return q
+}
+
+// copyOf returns a second packet sharing pkt's payload and destination,
+// for a copy that travels on its own from here: a duplicate, or one
+// branch of a multicast fan-out. The copy holds a reference on the
+// packet that owns the payload.
+func (n *Network) copyOf(pkt *Packet) *Packet {
+	owner := pkt
+	if pkt.parent != nil {
+		owner = pkt.parent
+	}
+	owner.refs++
+	c := n.alloc()
+	c.Src, c.Dst, c.Proto, c.Payload = pkt.Src, pkt.Dst, pkt.Proto, pkt.Payload
+	c.dst, c.path, c.hop, c.mcast, c.subtree = pkt.dst, pkt.path, pkt.hop, pkt.mcast, pkt.subtree
+	c.refs = 1
+	c.parent = owner
+	return c
+}
 
 // LinkParams describes one direction of a link. All fields may be
 // changed at runtime through UpdateLinkParams; because a packet's
@@ -181,6 +266,7 @@ type Network struct {
 	pipes   map[pipeKey]*Pipe
 	perPair map[pipeKey]LinkParams
 	ports   []*Port
+	free    freelist.List[Packet] // released packet structs, reused by alloc
 	router  Router
 	groups  map[Addr][]*Iface
 	Stats   Stats
@@ -375,6 +461,12 @@ func (n *Network) pipe(src, dst Addr) *Pipe {
 	return p
 }
 
+func (n *Network) trace(ev string, pkt *Packet) {
+	if n.Trace != nil {
+		n.Trace(ev, pkt)
+	}
+}
+
 // send routes a packet from the source interface to its destination.
 func (n *Network) send(src *Iface, pkt *Packet) {
 	if pkt.Dst.IsMulticast() {
@@ -383,9 +475,7 @@ func (n *Network) send(src *Iface, pkt *Packet) {
 	}
 	n.Stats.PacketsSent++
 	n.Stats.BytesSent += int64(pkt.WireSize())
-	if n.Trace != nil {
-		n.Trace("send", pkt)
-	}
+	n.trace("send", pkt)
 	if n.router != nil {
 		if path := n.router.Route(pkt.Src, pkt.Dst); path == nil {
 			n.Stats.PacketsNoRoute++
@@ -405,22 +495,27 @@ func (n *Network) send(src *Iface, pkt *Packet) {
 	}
 	if src.down || dst.down {
 		n.Stats.PacketsDown++
-		if n.Trace != nil {
-			n.Trace("drop-down", pkt)
-		}
+		n.trace("drop-down", pkt)
 		pkt.Release()
 		return
 	}
-	p := n.pipe(pkt.Src, pkt.Dst)
+	pkt.dst = dst
+	n.traverse(n.pipe(pkt.Src, pkt.Dst), pkt)
+}
+
+// traverse charges one crossing of a pipe or port to pkt and schedules
+// pkt.arrive at the arrival time of every copy that survives it. It is
+// the one place a packet meets a link, for mesh pipes, routed hops and
+// multicast branches alike. The draw sequence is fixed: admin-down (no
+// draw, so blocking one pair leaves every other link's RNG stream
+// untouched), queue backlog, loss, duplication, corruption, then jitter
+// per copy; each draw is taken only on links configured with a nonzero
+// rate. The caller hands over one packet reference.
+func (n *Network) traverse(p *Pipe, pkt *Packet) {
 	if p.params.Down {
-		// Administratively blocked pipe (partition injection). Checked
-		// before any RNG draw so that blocking one pair leaves the draw
-		// sequence of all other traffic untouched.
 		n.Stats.PacketsBlocked++
 		p.BlockedDrops++
-		if n.Trace != nil {
-			n.Trace("drop-blocked", pkt)
-		}
+		n.trace("drop-blocked", pkt)
 		pkt.Release()
 		return
 	}
@@ -438,9 +533,7 @@ func (n *Network) send(src *Iface, pkt *Packet) {
 		if backlogBytes > int64(p.params.QueueBytes) {
 			n.Stats.PacketsQueued++
 			p.QueueDrops++
-			if n.Trace != nil {
-				n.Trace("drop-queue", pkt)
-			}
+			n.trace("drop-queue", pkt)
 			pkt.Release()
 			return
 		}
@@ -449,50 +542,72 @@ func (n *Network) send(src *Iface, pkt *Packet) {
 	if p.params.LossRate > 0 && n.K.Rand().Float64() < p.params.LossRate {
 		n.Stats.PacketsLost++
 		p.LossDrops++
-		if n.Trace != nil {
-			n.Trace("drop-loss", pkt)
-		}
+		n.trace("drop-loss", pkt)
 		pkt.Release()
 		return
 	}
-	copies := 1
+	var dup *Packet
 	if p.params.DupRate > 0 && n.K.Rand().Float64() < p.params.DupRate {
-		copies = 2
 		n.Stats.PacketsDuped++
-		pkt.Retain() // both deliveries alias the same payload; each releases one ref
+		dup = n.copyOf(pkt)
 	}
 	if p.params.CorruptRate > 0 && len(pkt.Payload) > 0 &&
 		n.K.Rand().Float64() < p.params.CorruptRate {
-		// Flip one random payload bit in place (a duplicated copy shares
-		// the payload and is corrupted too, like a bad switch port). Both
-		// draws are gated on CorruptRate so links without corruption
-		// consume exactly the same RNG sequence as before.
+		// Flip one random payload bit in place (a duplicate shares the
+		// payload and is corrupted too, like a bad switch port).
 		bit := n.K.Rand().Int63n(int64(len(pkt.Payload)) * 8)
 		pkt.Payload[bit/8] ^= 1 << uint(bit%8)
 		n.Stats.PacketsCorrupted++
 		p.CorruptHits++
-		if n.Trace != nil {
-			n.Trace("corrupt", pkt)
-		}
+		n.trace("corrupt", pkt)
 	}
-	for i := 0; i < copies; i++ {
-		arrive := p.busyUntil - now + p.params.Delay
-		if p.params.Jitter > 0 {
-			arrive += time.Duration(n.K.Rand().Int63n(int64(p.params.Jitter)))
-		}
-		n.K.After(arrive, func() {
-			if dst.down {
-				n.Stats.PacketsDown++
-				pkt.Release()
-				return
-			}
-			if n.Trace != nil {
-				n.Trace("recv", pkt)
-			}
-			dst.node.deliver(pkt, dst)
-			pkt.Release()
-		})
+	n.schedule(p, pkt, now)
+	if dup != nil {
+		n.schedule(p, dup, now)
 	}
+}
+
+// schedule books one copy's arrival at the far end of p, drawing its
+// jitter.
+func (n *Network) schedule(p *Pipe, pkt *Packet, now time.Duration) {
+	arrive := p.busyUntil - now + p.params.Delay
+	if p.params.Jitter > 0 {
+		arrive += time.Duration(n.K.Rand().Int63n(int64(p.params.Jitter)))
+	}
+	n.K.After(arrive, pkt.arriveFn)
+}
+
+// arrive runs when a packet emerges from the link it was crossing: it
+// delivers it, or starts its next hop or multicast stage.
+func (p *Packet) arrive() {
+	n := p.net
+	switch {
+	case p.subtree != nil:
+		n.mcastArrive(p, p.subtree.dsts, p.subtree.paths, p.hop)
+	case p.hop+1 < len(p.path):
+		p.hop++
+		n.traverse(&p.path[p.hop].Pipe, p)
+	default:
+		n.deliver(p, p.dst)
+	}
+}
+
+// deliver hands a packet to the receiving interface, consuming one
+// reference.
+func (n *Network) deliver(pkt *Packet, dst *Iface) {
+	if dst.down {
+		n.Stats.PacketsDown++
+		pkt.Release()
+		return
+	}
+	if pkt.mcast {
+		n.Stats.McastDeliveries++
+		n.trace("mrecv", pkt)
+	} else {
+		n.trace("recv", pkt)
+	}
+	dst.node.deliver(pkt, dst)
+	pkt.Release()
 }
 
 // Pipe is one direction of a link between two interfaces.
@@ -551,7 +666,7 @@ func (n *Network) SetRouter(r Router) { n.router = r }
 // RouterValue returns the installed router, or nil on a mesh network.
 func (n *Network) RouterValue() Router { return n.router }
 
-// sendRouted is the multi-hop twin of send: the packet traverses each
+// sendRouted is the multi-hop twin of send: the packet crosses each
 // port in order, store-and-forward, paying serialization + queueing +
 // propagation per hop and taking loss/duplication/corruption draws only
 // on hops configured with nonzero rates. Per-pair admin blocks
@@ -566,105 +681,18 @@ func (n *Network) sendRouted(src *Iface, pkt *Packet, path []*Port) {
 	}
 	if src.down || dst.down {
 		n.Stats.PacketsDown++
-		if n.Trace != nil {
-			n.Trace("drop-down", pkt)
-		}
+		n.trace("drop-down", pkt)
 		pkt.Release()
 		return
 	}
 	if lp, ok := n.perPair[pipeKey{pkt.Src, pkt.Dst}]; ok && lp.Down {
 		n.Stats.PacketsBlocked++
-		if n.Trace != nil {
-			n.Trace("drop-blocked", pkt)
-		}
+		n.trace("drop-blocked", pkt)
 		pkt.Release()
 		return
 	}
-	n.hop(path, 0, pkt, dst)
-}
-
-// hop runs one store-and-forward stage and schedules the next.
-func (n *Network) hop(path []*Port, i int, pkt *Packet, dst *Iface) {
-	p := path[i]
-	if p.params.Down {
-		n.Stats.PacketsBlocked++
-		p.BlockedDrops++
-		if n.Trace != nil {
-			n.Trace("drop-blocked", pkt)
-		}
-		pkt.Release()
-		return
-	}
-	now := n.K.Now()
-	txTime := time.Duration(0)
-	if p.params.Bandwidth > 0 {
-		txTime = time.Duration(int64(pkt.WireSize()) * 8 * int64(time.Second) / p.params.Bandwidth)
-	}
-	start := now
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	if p.params.QueueBytes > 0 && p.params.Bandwidth > 0 {
-		backlogBytes := int64(p.busyUntil-now) * p.params.Bandwidth / (8 * int64(time.Second))
-		if backlogBytes > int64(p.params.QueueBytes) {
-			n.Stats.PacketsQueued++
-			p.QueueDrops++
-			if n.Trace != nil {
-				n.Trace("drop-queue", pkt)
-			}
-			pkt.Release()
-			return
-		}
-	}
-	p.busyUntil = start + txTime
-	if p.params.LossRate > 0 && n.K.Rand().Float64() < p.params.LossRate {
-		n.Stats.PacketsLost++
-		p.LossDrops++
-		if n.Trace != nil {
-			n.Trace("drop-loss", pkt)
-		}
-		pkt.Release()
-		return
-	}
-	copies := 1
-	if p.params.DupRate > 0 && n.K.Rand().Float64() < p.params.DupRate {
-		copies = 2
-		n.Stats.PacketsDuped++
-		pkt.Retain() // both copies continue independently; each releases one ref
-	}
-	if p.params.CorruptRate > 0 && len(pkt.Payload) > 0 &&
-		n.K.Rand().Float64() < p.params.CorruptRate {
-		bit := n.K.Rand().Int63n(int64(len(pkt.Payload)) * 8)
-		pkt.Payload[bit/8] ^= 1 << uint(bit%8)
-		n.Stats.PacketsCorrupted++
-		p.CorruptHits++
-		if n.Trace != nil {
-			n.Trace("corrupt", pkt)
-		}
-	}
-	last := i == len(path)-1
-	for c := 0; c < copies; c++ {
-		arrive := p.busyUntil - now + p.params.Delay
-		if p.params.Jitter > 0 {
-			arrive += time.Duration(n.K.Rand().Int63n(int64(p.params.Jitter)))
-		}
-		n.K.After(arrive, func() {
-			if last {
-				if dst.down {
-					n.Stats.PacketsDown++
-					pkt.Release()
-					return
-				}
-				if n.Trace != nil {
-					n.Trace("recv", pkt)
-				}
-				dst.node.deliver(pkt, dst)
-				pkt.Release()
-				return
-			}
-			n.hop(path, i+1, pkt, dst)
-		})
-	}
+	pkt.dst, pkt.path, pkt.hop = dst, path, 0
+	n.traverse(&path[0].Pipe, pkt)
 }
 
 // sendMulticast fans a group-addressed packet out to every member of
@@ -681,14 +709,10 @@ func (n *Network) sendMulticast(src *Iface, pkt *Packet) {
 	n.Stats.PacketsSent++
 	n.Stats.PacketsMcast++
 	n.Stats.BytesSent += int64(pkt.WireSize())
-	if n.Trace != nil {
-		n.Trace("msend", pkt)
-	}
+	n.trace("msend", pkt)
 	if src.down {
 		n.Stats.PacketsDown++
-		if n.Trace != nil {
-			n.Trace("drop-down", pkt)
-		}
+		n.trace("drop-down", pkt)
 		pkt.Release()
 		return
 	}
@@ -703,15 +727,18 @@ func (n *Network) sendMulticast(src *Iface, pkt *Packet) {
 		return
 	}
 	for _, m := range members {
-		if m.node == src.node {
-			continue
+		if m.node != src.node {
+			n.mcastDirect(pkt, m)
 		}
-		dst := m
-		p := n.pipe(pkt.Src, dst.addr)
-		pkt.Retain()
-		n.mcastTraverse(p, pkt, func() { n.mcastDeliver(pkt, dst) })
 	}
 	pkt.Release()
+}
+
+// mcastDirect sends one multicast copy to member m over its own pipe.
+func (n *Network) mcastDirect(pkt *Packet, m *Iface) {
+	c := n.copyOf(pkt)
+	c.dst, c.mcast = m, true
+	n.traverse(n.pipe(pkt.Src, m.addr), c)
 }
 
 // mcastRouted resolves each member's unicast route and starts the
@@ -731,10 +758,7 @@ func (n *Network) mcastRouted(src *Iface, pkt *Packet, members []*Iface) {
 			continue
 		}
 		if len(path) == 0 {
-			dst := m
-			p := n.pipe(pkt.Src, dst.addr)
-			pkt.Retain()
-			n.mcastTraverse(p, pkt, func() { n.mcastDeliver(pkt, dst) })
+			n.mcastDirect(pkt, m)
 			continue
 		}
 		dsts = append(dsts, m)
@@ -776,16 +800,13 @@ func (n *Network) mcastHop(pkt *Packet, dsts []*Iface, paths [][]*Port, stage in
 		}
 	}
 	for _, g := range groups {
-		gDsts := make([]*Iface, len(g.idx))
-		gPaths := make([][]*Port, len(g.idx))
+		sub := &subtree{dsts: make([]*Iface, len(g.idx)), paths: make([][]*Port, len(g.idx))}
 		for j, i := range g.idx {
-			gDsts[j], gPaths[j] = dsts[i], paths[i]
+			sub.dsts[j], sub.paths[j] = dsts[i], paths[i]
 		}
-		st := stage
-		pkt.Retain()
-		n.mcastTraverse(&g.port.Pipe, pkt, func() {
-			n.mcastArrive(pkt, gDsts, gPaths, st)
-		})
+		c := n.copyOf(pkt)
+		c.mcast, c.hop, c.subtree = true, stage, sub
+		n.traverse(&g.port.Pipe, c)
 	}
 	pkt.Release()
 }
@@ -799,7 +820,7 @@ func (n *Network) mcastArrive(pkt *Packet, dsts []*Iface, paths [][]*Port, stage
 	for i := range paths {
 		if stage == len(paths[i])-1 {
 			pkt.Retain()
-			n.mcastDeliver(pkt, dsts[i])
+			n.deliver(pkt, dsts[i])
 		} else {
 			contDsts = append(contDsts, dsts[i])
 			contPaths = append(contPaths, paths[i])
@@ -809,95 +830,6 @@ func (n *Network) mcastArrive(pkt *Packet, dsts []*Iface, paths [][]*Port, stage
 		pkt.Retain()
 		n.mcastHop(pkt, contDsts, contPaths, stage+1)
 	}
-	pkt.Release()
-}
-
-// mcastTraverse charges one traversal of a pipe or port to a multicast
-// packet and schedules the continuation at the arrival time, once per
-// surviving copy. The draw sequence — admin-down, queue backlog, loss,
-// duplication, corruption, jitter — matches the unicast path exactly,
-// so a multicast hop perturbs a link's RNG stream the same way a
-// unicast packet would. The caller hands over one packet reference;
-// each invocation of then owns one.
-func (n *Network) mcastTraverse(p *Pipe, pkt *Packet, then func()) {
-	if p.params.Down {
-		n.Stats.PacketsBlocked++
-		p.BlockedDrops++
-		if n.Trace != nil {
-			n.Trace("drop-blocked", pkt)
-		}
-		pkt.Release()
-		return
-	}
-	now := n.K.Now()
-	txTime := time.Duration(0)
-	if p.params.Bandwidth > 0 {
-		txTime = time.Duration(int64(pkt.WireSize()) * 8 * int64(time.Second) / p.params.Bandwidth)
-	}
-	start := now
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	if p.params.QueueBytes > 0 && p.params.Bandwidth > 0 {
-		backlogBytes := int64(p.busyUntil-now) * p.params.Bandwidth / (8 * int64(time.Second))
-		if backlogBytes > int64(p.params.QueueBytes) {
-			n.Stats.PacketsQueued++
-			p.QueueDrops++
-			if n.Trace != nil {
-				n.Trace("drop-queue", pkt)
-			}
-			pkt.Release()
-			return
-		}
-	}
-	p.busyUntil = start + txTime
-	if p.params.LossRate > 0 && n.K.Rand().Float64() < p.params.LossRate {
-		n.Stats.PacketsLost++
-		p.LossDrops++
-		if n.Trace != nil {
-			n.Trace("drop-loss", pkt)
-		}
-		pkt.Release()
-		return
-	}
-	copies := 1
-	if p.params.DupRate > 0 && n.K.Rand().Float64() < p.params.DupRate {
-		copies = 2
-		n.Stats.PacketsDuped++
-		pkt.Retain() // both copies continue independently; each owns one ref
-	}
-	if p.params.CorruptRate > 0 && len(pkt.Payload) > 0 &&
-		n.K.Rand().Float64() < p.params.CorruptRate {
-		bit := n.K.Rand().Int63n(int64(len(pkt.Payload)) * 8)
-		pkt.Payload[bit/8] ^= 1 << uint(bit%8)
-		n.Stats.PacketsCorrupted++
-		p.CorruptHits++
-		if n.Trace != nil {
-			n.Trace("corrupt", pkt)
-		}
-	}
-	for c := 0; c < copies; c++ {
-		arrive := p.busyUntil - now + p.params.Delay
-		if p.params.Jitter > 0 {
-			arrive += time.Duration(n.K.Rand().Int63n(int64(p.params.Jitter)))
-		}
-		n.K.After(arrive, then)
-	}
-}
-
-// mcastDeliver hands one multicast copy to the receiving interface,
-// consuming one packet reference.
-func (n *Network) mcastDeliver(pkt *Packet, dst *Iface) {
-	if dst.down {
-		n.Stats.PacketsDown++
-		pkt.Release()
-		return
-	}
-	n.Stats.McastDeliveries++
-	if n.Trace != nil {
-		n.Trace("mrecv", pkt)
-	}
-	dst.node.deliver(pkt, dst)
 	pkt.Release()
 }
 
@@ -978,11 +910,25 @@ func (nd *Node) MTU(src, dst Addr) int {
 	return nd.net.pipe(src, dst).params.mtu()
 }
 
+// NewPacket wraps a payload obtained from wire.GetBuf in a pooled packet
+// from the network's free list. The caller owns the one reference until
+// it hands the packet to Send.
+func (nd *Node) NewPacket(src, dst Addr, proto uint8, payload []byte) *Packet {
+	countPooled(1)
+	p := nd.net.alloc()
+	p.Src, p.Dst, p.Proto, p.Payload = src, dst, proto, payload
+	p.refs, p.pooled = 1, true
+	return p
+}
+
 // Send transmits a packet whose Src must be one of the node's interface
-// addresses.
+// addresses. It takes over the caller's reference.
 func (nd *Node) Send(pkt *Packet) {
 	for _, ifc := range nd.ifaces {
 		if ifc.addr == pkt.Src {
+			if pkt.net != nd.net {
+				pkt = nd.net.adopt(pkt)
+			}
 			nd.net.send(ifc, pkt)
 			return
 		}

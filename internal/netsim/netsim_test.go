@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/testenv"
+	"repro/internal/wire"
 )
 
 func twoNodes(seed int64, lp LinkParams) (*sim.Kernel, *Network, *Node, *Node) {
@@ -298,5 +300,33 @@ func TestMTU(t *testing.T) {
 	_ = k
 	if a.MTU(a.Addr(), b.Addr()) != 9000 {
 		t.Fatalf("MTU = %d", a.MTU(a.Addr(), b.Addr()))
+	}
+}
+
+// A pooled packet sent across a 2-node mesh to a null handler allocates
+// nothing in steady state: the struct comes from the network's free
+// list, its arrival callback is bound once per struct, the payload is a
+// wire-pool buffer, and the kernel's event is pooled too.
+func TestMeshSendAllocFree(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	k, _, a, b := twoNodes(1, DefaultLinkParams())
+	got := 0
+	b.Handle(99, func(*Packet, *Iface) { got++ })
+	send := func() {
+		a.Send(a.NewPacket(a.Addr(), b.Addr(), 99, wire.GetBuf(1500)))
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Errorf("Node.Send allocates %.2f times per packet, want 0", allocs)
+	}
+	if got != 1100+1 || LivePooledPackets() != 0 {
+		t.Errorf("delivered %d packets, %d still live", got, LivePooledPackets())
 	}
 }

@@ -3,6 +3,7 @@ package sctp
 import (
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/netsim"
 	"repro/internal/seqnum"
 	"repro/internal/sim"
@@ -75,23 +76,15 @@ type path struct {
 
 // msgBuf is a pooled copy of one user message, shared by the chunks it
 // was fragmented into. refs counts chunks still holding a share; the
-// last release recycles the buffer.
+// last release recycles the buffer (see Assoc.releaseBuf).
 type msgBuf struct {
 	b    []byte
 	refs int32
 }
 
-func (mb *msgBuf) release() {
-	mb.refs--
-	if mb.refs == 0 {
-		wire.PutBuf(mb.b)
-		mb.b = nil
-	}
-}
-
-// outChunk tracks one DATA chunk through transmission. The chunk is
-// embedded by value so queuing a message costs one allocation per
-// fragment, not two.
+// outChunk tracks one DATA chunk through transmission. Chunks come from
+// the stack's free list and go back to it once they have left every
+// queue (see Assoc.retire).
 type outChunk struct {
 	c         chunk
 	mb        *msgBuf
@@ -111,13 +104,29 @@ type outChunk struct {
 	inFlight bool
 }
 
-// releaseBuf drops this chunk's share of the message buffer. Idempotent:
-// called when the chunk is first sacked and again defensively at
-// teardown.
-func (oc *outChunk) releaseBuf() {
-	if oc.mb != nil {
-		oc.mb.release()
-		oc.mb = nil
+// releaseBuf drops oc's share of its message copy; the last share
+// recycles the copy. Idempotent: called when the chunk is first sacked
+// and again defensively at teardown.
+func (a *Assoc) releaseBuf(oc *outChunk) {
+	mb := oc.mb
+	if mb == nil {
+		return
+	}
+	oc.mb = nil
+	mb.refs--
+	if mb.refs == 0 {
+		wire.PutBuf(mb.b)
+		mb.b = nil
+		a.sock.stack.freeBufs.Put(mb)
+	}
+}
+
+// retire recycles a chunk that left inflight through the cumulative ack,
+// unless it still waits in rtxQ: sendRetransmissions retires it when it
+// discards it there.
+func (a *Assoc) retire(oc *outChunk) {
+	if !oc.inRtxQ {
+		a.sock.stack.freeChunk(oc)
 	}
 }
 
@@ -178,12 +187,16 @@ type Assoc struct {
 	// Send side.
 	nextTSN  seqnum.V
 	outSSN   []uint16
-	outQ     []*outChunk
-	rtxQ     []*outChunk
-	inflight []*outChunk // TSN order
+	outQ     fifo.Queue[*outChunk]
+	rtxQ     fifo.Queue[*outChunk]
+	inflight fifo.Queue[*outChunk] // TSN order
 	sndUsed  int
 	peerRwnd int
 	sndCond  *sim.Cond
+
+	// Scratch for assembling one outbound packet, reused for every one.
+	batch  []*outChunk
+	chunks []*chunk
 
 	// I-DATA mode (RFC 8260), committed at handshake when both ends
 	// enable Config.IData. Outbound messages take a per-stream MID and
@@ -267,7 +280,6 @@ func (sk *Socket) newAssoc(peerPort uint16, peerAddrs []netsim.Addr) *Assoc {
 		peerPort:   peerPort,
 		peerAddrs:  peerAddrs,
 		localAddrs: sk.stack.node.Addrs(),
-		partial:    make(map[uint32]*partialMsg),
 		sndCond:    sim.NewCond(sk.kernel()),
 		connCond:   sim.NewCond(sk.kernel()),
 		peerRwnd:   4380, // until the peer advertises
@@ -335,10 +347,10 @@ func (a *Assoc) initStreams(out, in int) {
 	a.numIn = in
 	a.outSSN = make([]uint16, out)
 	a.expectedSSN = make([]seqnum.S16, in)
+	// The per-stream reorder maps are made on first insert (deliverOrdered):
+	// most streams never see an out-of-order message, and reads and deletes
+	// on a nil map are safe.
 	a.reorder = make([]map[seqnum.S16]*Message, in)
-	for i := range a.reorder {
-		a.reorder[i] = make(map[seqnum.S16]*Message)
-	}
 	if a.useIData {
 		a.outMID = make([]seqnum.MID, out)
 		a.sched = newSched(a.cfg.Scheduler, out)
@@ -356,7 +368,7 @@ func (a *Assoc) UsesIData() bool { return a.useIData }
 // outPending counts chunks queued for first transmission, wherever they
 // live (legacy outQ or the I-DATA stream scheduler).
 func (a *Assoc) outPending() int {
-	n := len(a.outQ)
+	n := a.outQ.Len()
 	if a.sched != nil {
 		n += a.sched.pending()
 	}
@@ -368,11 +380,7 @@ func (a *Assoc) establish() {
 	a.state = aEstablished
 	a.startHeartbeats()
 	a.resetAutoclose()
-	a.sock.enqueue(&Message{
-		Assoc:        a.id,
-		Peer:         a.peerAddrs[0],
-		Notification: NotifyCommUp,
-	})
+	a.notify(NotifyCommUp, nil)
 	a.connCond.Broadcast()
 	a.sndCond.Broadcast()
 }
@@ -458,8 +466,9 @@ func (a *Assoc) insertRange(tsn seqnum.V) {
 			return
 		}
 		if tsn.Less(r.start) {
-			a.rcvRanges = append(a.rcvRanges[:i],
-				append([]tsnRange{{tsn, tsn}}, a.rcvRanges[i:]...)...)
+			a.rcvRanges = append(a.rcvRanges, tsnRange{})
+			copy(a.rcvRanges[i+1:], a.rcvRanges[i:])
+			a.rcvRanges[i] = tsnRange{tsn, tsn}
 			return
 		}
 	}
@@ -508,7 +517,8 @@ func (a *Assoc) acceptTSN(c *chunk) bool {
 	// Advance the cumulative TSN through the first range if contiguous.
 	if len(a.rcvRanges) > 0 && a.rcvRanges[0].start == a.cumTSN.Add(1) {
 		a.cumTSN = a.rcvRanges[0].end
-		a.rcvRanges = a.rcvRanges[1:]
+		// Shift rather than head-slice, so the array is reused.
+		a.rcvRanges = a.rcvRanges[:copy(a.rcvRanges, a.rcvRanges[1:])]
 		if p := a.cfg.Probe; p != nil && p.CumTSN != nil {
 			p.CumTSN(a, a.cumTSN)
 		}
@@ -531,19 +541,14 @@ func (a *Assoc) handleData(src netsim.Addr, c *chunk) {
 		if c.Flags&flagBeginFragment != 0 && c.Flags&flagEndFragment != 0 {
 			// Unfragmented message: deliver directly, skipping the
 			// reassembly map. This is the common case for small sends.
-			a.deliverOrdered(&Message{
-				Assoc:  a.id,
-				Peer:   a.peerAddrs[0],
-				Stream: c.Stream,
-				SSN:    uint16(c.SSN),
-				PPID:   c.PPID,
-				Data:   append(wire.GetBuf(len(c.Data))[:0], c.Data...),
-			})
+			a.deliverOrdered(a.dataMsg(c.Stream, c.SSN, c.PPID,
+				append(wire.GetBuf(len(c.Data))[:0], c.Data...)))
 			return
 		}
-		pm = &partialMsg{
-			stream: c.Stream, ssn: c.SSN, ppid: c.PPID,
-			frags: make(map[seqnum.V]frag),
+		pm = a.sock.stack.newPartial()
+		pm.stream, pm.ssn, pm.ppid = c.Stream, c.SSN, c.PPID
+		if a.partial == nil {
+			a.partial = make(map[uint32]*partialMsg) // first fragmented message
 		}
 		a.partial[key] = pm
 	}
@@ -608,14 +613,24 @@ func (a *Assoc) completeMessage(pm *partialMsg) {
 			break
 		}
 	}
-	a.deliverOrdered(&Message{
-		Assoc:  a.id,
-		Peer:   a.peerAddrs[0],
-		Stream: pm.stream,
-		SSN:    uint16(pm.ssn),
-		PPID:   pm.ppid,
-		Data:   data,
-	})
+	a.deliverOrdered(a.dataMsg(pm.stream, pm.ssn, pm.ppid, data))
+	a.sock.stack.freePartial(pm)
+}
+
+// dataMsg builds a received data message from the stack's free list.
+func (a *Assoc) dataMsg(stream uint16, ssn seqnum.S16, ppid uint32, data []byte) *Message {
+	m := a.sock.stack.newMsg()
+	m.Assoc, m.Peer = a.id, a.peerAddrs[0]
+	m.Stream, m.SSN, m.PPID, m.Data = stream, uint16(ssn), ppid, data
+	return m
+}
+
+// notify queues an association event on the socket.
+func (a *Assoc) notify(kind NotificationType, err error) {
+	m := a.sock.stack.newMsg()
+	m.Assoc, m.Peer = a.id, a.peerAddrs[0]
+	m.Notification, m.Err = kind, err
+	a.sock.enqueue(m)
 }
 
 // deliverOrdered enqueues a reassembled message in per-stream SSN order,
@@ -638,6 +653,9 @@ func (a *Assoc) deliverOrdered(m *Message) {
 			a.expectedSSN[st]++
 		}
 	} else {
+		if a.reorder[st] == nil {
+			a.reorder[st] = make(map[seqnum.S16]*Message)
+		}
 		a.reorder[st][ssn] = m
 	}
 }
@@ -715,7 +733,7 @@ func (a *Assoc) sendSack() {
 		return
 	}
 	c := a.buildSack()
-	a.dupTSNs = nil
+	a.dupTSNs = a.dupTSNs[:0] // the SACK is encoded below, before any new dup
 	a.pktsNoSack = 0
 	a.sackNow = false
 	a.sackTimer.Stop()
@@ -741,14 +759,13 @@ func (a *Assoc) srcFor(dst netsim.Addr) netsim.Addr {
 
 // sendChunks transmits a control-only packet.
 func (a *Assoc) sendChunks(src, dst netsim.Addr, chunks []*chunk) {
-	p := &packet{
+	a.stats.PacketsSent++
+	a.sock.stack.send(src, dst, &packet{
 		SrcPort:         a.sock.port,
 		DstPort:         a.peerPort,
 		VerificationTag: a.peerTag,
 		Chunks:          chunks,
-	}
-	a.stats.PacketsSent++
-	a.sock.stack.node.Send(netsim.NewPooledPacket(src, dst, netsim.ProtoSCTP, encodePacket(p)))
+	})
 }
 
 // resetAutoclose restarts the autoclose timer, if configured.
@@ -758,7 +775,7 @@ func (a *Assoc) resetAutoclose() {
 	}
 	a.autocloseTimer.Stop()
 	a.autocloseTimer = a.kernel().After(a.cfg.Autoclose, func() {
-		if a.state == aEstablished && a.outPending() == 0 && len(a.inflight) == 0 {
+		if a.state == aEstablished && a.outPending() == 0 && a.inflight.Len() == 0 {
 			a.gracefulClose()
 		}
 	})
@@ -775,12 +792,7 @@ func (a *Assoc) fail(err error, sendAbort bool) {
 	}
 	a.err = err
 	a.teardown()
-	a.sock.enqueue(&Message{
-		Assoc:        a.id,
-		Peer:         a.peerAddrs[0],
-		Notification: NotifyCommLost,
-		Err:          err,
-	})
+	a.notify(NotifyCommLost, err)
 }
 
 // abort is the public-facing abort used by Socket.Abort.
@@ -795,11 +807,7 @@ func (a *Assoc) finish() {
 		return
 	}
 	a.teardown()
-	a.sock.enqueue(&Message{
-		Assoc:        a.id,
-		Peer:         a.peerAddrs[0],
-		Notification: NotifyShutdownComplete,
-	})
+	a.notify(NotifyShutdownComplete, nil)
 }
 
 func (a *Assoc) teardown() {
@@ -811,20 +819,7 @@ func (a *Assoc) teardown() {
 	if a.useIData {
 		a.ireasm.release()
 	}
-	// Unacknowledged chunks still hold shares of pooled message buffers.
-	// rtxQ is a subset of inflight, and releaseBuf is idempotent, so
-	// walking all three queues is safe. Scheduler-queued chunks were
-	// never transmitted, so their shares are released here too.
-	a.sched.drain(func(oc *outChunk) { oc.releaseBuf() })
-	for _, oc := range a.outQ {
-		oc.releaseBuf()
-	}
-	for _, oc := range a.rtxQ {
-		oc.releaseBuf()
-	}
-	for _, oc := range a.inflight {
-		oc.releaseBuf()
-	}
+	a.releaseQueued()
 	a.initTimer.Stop()
 	a.sackTimer.Stop()
 	a.autocloseTimer.Stop()
@@ -836,6 +831,22 @@ func (a *Assoc) teardown() {
 	a.sock.removeAssoc(a)
 	a.sndCond.Broadcast()
 	a.connCond.Broadcast()
+}
+
+// releaseQueued drops the shares of pooled message copies that
+// unacknowledged chunks still hold (teardown and restart) and empties the
+// queues. rtxQ is a subset of inflight, and releaseBuf is idempotent, so
+// walking all three queues is safe. Scheduler-queued chunks were never
+// transmitted, so their shares are released here too. The chunks
+// themselves are left to the garbage collector.
+func (a *Assoc) releaseQueued() {
+	a.sched.drain(a.releaseBuf)
+	for _, q := range []*fifo.Queue[*outChunk]{&a.outQ, &a.rtxQ, &a.inflight} {
+		for i := 0; i < q.Len(); i++ {
+			a.releaseBuf(q.At(i))
+		}
+		q.Clear()
+	}
 }
 
 // gracefulClose initiates the SCTP shutdown sequence. SCTP has no
@@ -853,7 +864,7 @@ func (a *Assoc) gracefulClose() {
 // maybeProgressShutdown advances the shutdown handshake once all
 // outbound data is acknowledged.
 func (a *Assoc) maybeProgressShutdown() {
-	if a.outPending() != 0 || len(a.rtxQ) != 0 || len(a.inflight) != 0 {
+	if a.outPending() != 0 || a.rtxQ.Len() != 0 || a.inflight.Len() != 0 {
 		return
 	}
 	switch a.state {

@@ -11,7 +11,6 @@ package sctp
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/netsim"
 	"repro/internal/seqnum"
@@ -221,12 +220,12 @@ func encodeCookieEcho(w *wire.Writer, flags uint8, cookie []byte) {
 }
 
 // decodeChunk decodes one chunk into c, which it fully resets first.
-// The Gaps backing array survives the reset so steady-state SACK
-// decoding on a pooled packet is allocation-free; every other slice
+// The Gaps and DupTSNs backing arrays survive the reset so steady-state
+// SACK decoding on a reused packet is allocation-free; every other slice
 // field starts nil because receive-side code is allowed to retain
 // Addrs (and copies Cookie/Reason).
 func decodeChunk(r *wire.Reader, c *chunk) error {
-	gaps := c.Gaps[:0]
+	gaps, dups := c.Gaps[:0], c.DupTSNs[:0]
 	*c = chunk{}
 	c.Type = r.U8()
 	c.Flags = r.U8()
@@ -280,8 +279,11 @@ func decodeChunk(r *wire.Reader, c *chunk) error {
 				c.Gaps = append(c.Gaps, gapBlock{br.U16(), br.U16()})
 			}
 		}
-		for i := 0; i < nd; i++ {
-			c.DupTSNs = append(c.DupTSNs, seqnum.V(br.U32()))
+		if nd > 0 {
+			c.DupTSNs = dups
+			for i := 0; i < nd; i++ {
+				c.DupTSNs = append(c.DupTSNs, seqnum.V(br.U32()))
+			}
 		}
 	case ctHeartbeat, ctHeartbeatAck:
 		c.HBPath = netsim.Addr(br.U32())
@@ -298,10 +300,10 @@ func decodeChunk(r *wire.Reader, c *chunk) error {
 }
 
 // packet is a parsed SCTP packet: common header plus chunks. Decoded
-// packets come from packetPool with their chunks laid out in slab;
-// the stack returns them with releasePacket once dispatch finishes
-// (chunk structs are dead by then — receive-side code keeps only
-// payload slices and the owning netsim packet, never the chunks).
+// packets come from the stack's free list with their chunks laid out in
+// slab; the stack returns them once dispatch finishes (chunk structs are
+// dead by then — receive-side code keeps only payload slices and the
+// owning netsim packet, never the chunks).
 type packet struct {
 	SrcPort, DstPort uint16
 	VerificationTag  uint32
@@ -309,21 +311,17 @@ type packet struct {
 	slab             []chunk
 }
 
-//simlint:allow nopreempt the decoded-packet pool is shared by kernels running concurrently in parallel sweeps, so it must be a sync.Pool; every field is reset on reuse, so pool hit order cannot affect virtual-time behavior
-var packetPool = sync.Pool{New: func() any { return new(packet) }}
-
-// releasePacket resets a decoded packet and returns it to the pool.
-// Payload aliases are cleared by the per-chunk reset in decodeChunk on
-// next use; here it is enough to drop the chunk pointers.
-func releasePacket(p *packet) {
+// reset clears a decoded packet for reuse. Payload aliases are cleared
+// by the per-chunk reset in decodeChunk on next use; here it is enough
+// to drop the chunk pointers.
+func (p *packet) reset() {
 	for i := range p.slab {
 		c := &p.slab[i]
-		gaps := c.Gaps[:0]
+		gaps, dups := c.Gaps[:0], c.DupTSNs[:0]
 		*c = chunk{}
-		c.Gaps = gaps
+		c.Gaps, c.DupTSNs = gaps, dups
 	}
 	p.Chunks = p.Chunks[:0]
-	packetPool.Put(p)
 }
 
 // encodePacket serializes the packet, computing the CRC32c checksum.
@@ -360,10 +358,11 @@ func encodePacket(p *packet) []byte {
 	return w.B
 }
 
-// decodePacket parses and (when verify is set) checksums a packet.
-func decodePacket(b []byte, verify bool) (*packet, error) {
+// decode parses and (when verify is set) checksums b into p, reusing its
+// chunk slab.
+func (p *packet) decode(b []byte, verify bool) error {
 	if len(b) < commonHeaderSize {
-		return nil, wire.ErrShort
+		return wire.ErrShort
 	}
 	if verify {
 		sum := uint32(b[8])<<24 | uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])
@@ -379,11 +378,10 @@ func decodePacket(b []byte, verify bool) (*packet, error) {
 		if !ok {
 			// Wrapped with packet context: classification must go
 			// through errors.Is (the transport error contract), not ==.
-			return nil, fmt.Errorf("%w in %d-byte packet", errBadCRC, len(b))
+			return fmt.Errorf("%w in %d-byte packet", errBadCRC, len(b))
 		}
 	}
 	r := wire.NewReader(b)
-	p := packetPool.Get().(*packet)
 	p.SrcPort = r.U16()
 	p.DstPort = r.U16()
 	p.VerificationTag = r.U32()
@@ -395,8 +393,8 @@ func decodePacket(b []byte, verify bool) (*packet, error) {
 			p.slab = append(p.slab, chunk{})
 		}
 		if err := decodeChunk(r, &p.slab[n]); err != nil {
-			releasePacket(p)
-			return nil, err
+			p.reset()
+			return err
 		}
 		n++
 		consumed := start - r.Remaining()
@@ -412,5 +410,5 @@ func decodePacket(b []byte, verify bool) (*packet, error) {
 	for i := 0; i < n; i++ {
 		p.Chunks = append(p.Chunks, &p.slab[i])
 	}
-	return p, nil
+	return nil
 }

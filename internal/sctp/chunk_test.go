@@ -2,7 +2,10 @@ package sctp
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
+	"hash"
 	"testing"
 	"testing/quick"
 
@@ -142,8 +145,12 @@ func TestCookieRoundTripAndMAC(t *testing.T) {
 		LocalAddrs: []netsim.Addr{netsim.MakeAddr(0, 6), netsim.MakeAddr(1, 6)},
 		IssuedAt:   12345,
 	}
-	enc := ck.encode(secret)
-	out, err := decodeCookie(enc, secret)
+	// One keyed MAC serves sign and verify, reset between uses, as the
+	// stack holds it.
+	mac := hmac.New(sha256.New, secret)
+	keyed := func() hash.Hash { mac.Reset(); return mac }
+	enc := ck.encode(keyed())
+	out, err := decodeCookie(enc, keyed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +160,26 @@ func TestCookieRoundTripAndMAC(t *testing.T) {
 	}
 	// Tampering must be detected.
 	enc[0] ^= 1
-	if _, err := decodeCookie(enc, secret); err == nil {
+	if _, err := decodeCookie(enc, keyed()); err == nil {
 		t.Fatal("tampered cookie accepted")
 	}
 	enc[0] ^= 1
-	if _, err := decodeCookie(enc, []byte("wrong")); err == nil {
+	if _, err := decodeCookie(enc, keyed()); err != nil {
+		t.Fatalf("restored cookie rejected: %v", err)
+	}
+	if _, err := decodeCookie(enc, hmac.New(sha256.New, []byte("wrong"))); err == nil {
 		t.Fatal("cookie accepted with wrong secret")
 	}
+}
+
+// decodePacket parses and (when verify is set) checksums a packet into
+// a fresh packet struct.
+func decodePacket(b []byte, verify bool) (*packet, error) {
+	p := new(packet)
+	if err := p.decode(b, verify); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func TestQuickDataRoundTrip(t *testing.T) {

@@ -3,6 +3,7 @@ package sctp
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"hash"
 	"time"
 
 	"repro/internal/netsim"
@@ -31,7 +32,9 @@ type stateCookie struct {
 
 const cookieMACSize = sha256.Size
 
-func (c *stateCookie) encode(secret []byte) []byte {
+// encode serializes the cookie and appends its MAC under mac (the
+// stack's keyed HMAC, reset by the caller).
+func (c *stateCookie) encode(mac hash.Hash) []byte {
 	w := wire.NewWriter(64)
 	w.U16(c.PeerPort)
 	w.U32(c.PeerTag)
@@ -54,21 +57,21 @@ func (c *stateCookie) encode(secret []byte) []byte {
 	for _, a := range c.LocalAddrs {
 		w.U32(uint32(a))
 	}
-	mac := hmac.New(sha256.New, secret)
 	mac.Write(w.B)
 	return mac.Sum(w.B)
 }
 
-// decodeCookie verifies the MAC and parses the cookie. It returns
-// ErrInitFailed on any tampering.
-func decodeCookie(b, secret []byte) (*stateCookie, error) {
+// decodeCookie verifies the MAC under mac (the stack's keyed HMAC,
+// reset by the caller) and parses the cookie. It returns ErrInitFailed
+// on any tampering.
+func decodeCookie(b []byte, mac hash.Hash) (*stateCookie, error) {
 	if len(b) < cookieMACSize {
 		return nil, ErrInitFailed
 	}
 	body, tag := b[:len(b)-cookieMACSize], b[len(b)-cookieMACSize:]
-	mac := hmac.New(sha256.New, secret)
 	mac.Write(body)
-	if !hmac.Equal(mac.Sum(nil), tag) {
+	var sum [cookieMACSize]byte
+	if !hmac.Equal(mac.Sum(sum[:0]), tag) {
 		return nil, ErrInitFailed
 	}
 	r := wire.NewReader(body)

@@ -12,6 +12,6 @@ func SetDebugT3(fn func(info string)) {
 	}
 	debugT3 = func(a *Assoc, pi int) {
 		fn(fmt.Sprintf("t=%v assoc=%d state=%d path=%d inflight=%d outQ=%d rtxQ=%d",
-			a.kernel().Now(), a.id, a.state, pi, len(a.inflight), len(a.outQ), len(a.rtxQ)))
+			a.kernel().Now(), a.id, a.state, pi, a.inflight.Len(), a.outQ.Len(), a.rtxQ.Len()))
 	}
 }

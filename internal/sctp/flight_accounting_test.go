@@ -85,8 +85,8 @@ func TestSackAfterT3KeepsFlightAccounting(t *testing.T) {
 					t.Fatalf("flight after T3 = %d, want %d (M1+M2 retransmitted, M3 parked)",
 						pt.flight, 2*msg)
 				}
-				if len(a.rtxQ) != 1 || a.rtxQ[0].c.TSN != tsn0.Add(2) {
-					t.Fatalf("rtxQ after T3 = %d chunks, want exactly the parked M3", len(a.rtxQ))
+				if a.rtxQ.Len() != 1 || a.rtxQ.Front().c.TSN != tsn0.Add(2) {
+					t.Fatalf("rtxQ after T3 = %d chunks, want exactly the parked M3", a.rtxQ.Len())
 				}
 
 				// SACK: cum acks M1 (in flight — its bytes leave), the
@@ -104,8 +104,8 @@ func TestSackAfterT3KeepsFlightAccounting(t *testing.T) {
 						pt.flight, msg)
 				}
 				inFlightSum := 0
-				for _, oc := range a.inflight {
-					if oc.inFlight {
+				for i := 0; i < a.inflight.Len(); i++ {
+					if oc := a.inflight.At(i); oc.inFlight {
 						inFlightSum += oc.size
 					}
 				}

@@ -21,7 +21,7 @@ func FuzzChunkCodec(f *testing.F) {
 		// original input.
 		vb := append([]byte(nil), b...)
 		if p, err := decodePacket(vb, true); err == nil {
-			releasePacket(p)
+			p.reset()
 		}
 		p1, err := decodePacket(b, false)
 		if err != nil {
@@ -47,8 +47,8 @@ func FuzzChunkCodec(f *testing.F) {
 					i, *p1.Chunks[i], *p2.Chunks[i])
 			}
 		}
-		releasePacket(p1)
-		releasePacket(p2)
+		p1.reset()
+		p2.reset()
 		wire.PutBuf(b2)
 	})
 }

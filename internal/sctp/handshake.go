@@ -66,14 +66,13 @@ func (a *Assoc) sendInit() {
 	if a.cfg.IData {
 		init.Flags |= initFlagIData
 	}
-	p := &packet{
+	a.stats.PacketsSent++
+	a.sock.stack.send(pt.src, pt.addr, &packet{
 		SrcPort:         a.sock.port,
 		DstPort:         a.peerPort,
 		VerificationTag: 0,
 		Chunks:          []*chunk{init},
-	}
-	a.stats.PacketsSent++
-	a.sock.stack.node.Send(netsim.NewPooledPacket(pt.src, pt.addr, netsim.ProtoSCTP, encodePacket(p)))
+	})
 	a.armInitTimer(func() {
 		if a.state == aCookieWait {
 			a.sendInit()
@@ -144,7 +143,7 @@ func (sk *Socket) handleInit(src, dst netsim.Addr, pkt *packet, c *chunk) {
 		InStreams:   uint16(streams),
 		InitialTSN:  localTSN,
 		Addrs:       sk.stack.node.Addrs(),
-		Cookie:      cookie.encode(sk.stack.secret),
+		Cookie:      cookie.encode(sk.stack.cookieMAC()),
 	}
 	if idata {
 		initAck.Flags |= initFlagIData
@@ -273,7 +272,7 @@ func (a *Assoc) handleInitCollision(src, dst netsim.Addr, c *chunk) {
 		InStreams:   uint16(streams),
 		InitialTSN:  a.nextTSN,
 		Addrs:       a.localAddrs,
-		Cookie:      cookie.encode(sk.stack.secret),
+		Cookie:      cookie.encode(sk.stack.cookieMAC()),
 	}
 	if idata {
 		initAck.Flags |= initFlagIData
@@ -321,7 +320,7 @@ func (a *Assoc) handleRestartInit(src, dst netsim.Addr, c *chunk) {
 		InStreams:   uint16(streams),
 		InitialTSN:  localTSN,
 		Addrs:       a.localAddrs,
-		Cookie:      cookie.encode(sk.stack.secret),
+		Cookie:      cookie.encode(sk.stack.cookieMAC()),
 	}
 	if idata {
 		initAck.Flags |= initFlagIData
@@ -340,23 +339,13 @@ func (a *Assoc) restartInPlace(ck *stateCookie) {
 		pm.releaseFrags()
 		delete(a.partial, key)
 	}
-	for _, oc := range a.outQ {
-		oc.releaseBuf()
-	}
-	for _, oc := range a.rtxQ {
-		oc.releaseBuf()
-	}
-	for _, oc := range a.inflight {
-		oc.releaseBuf()
-	}
-	a.outQ, a.rtxQ, a.inflight = nil, nil, nil
+	a.releaseQueued()
 	if a.useIData {
 		a.ireasm.release()
 	}
-	a.sched.drain(func(oc *outChunk) { oc.releaseBuf() })
 	a.sndUsed = 0
-	a.rcvRanges = nil
-	a.dupTSNs = nil
+	a.rcvRanges = a.rcvRanges[:0]
+	a.dupTSNs = a.dupTSNs[:0]
 	a.rcvUsed = 0
 	a.lastRwnd = 0
 	a.pktsNoSack = 0
@@ -388,11 +377,7 @@ func (a *Assoc) restartInPlace(ck *stateCookie) {
 	if p := a.cfg.Probe; p != nil && p.Restart != nil {
 		p.Restart(a)
 	}
-	a.sock.enqueue(&Message{
-		Assoc:        a.id,
-		Peer:         a.peerAddrs[0],
-		Notification: NotifyRestart,
-	})
+	a.notify(NotifyRestart, nil)
 	a.sndCond.Broadcast()
 }
 
@@ -403,7 +388,7 @@ func (a *Assoc) restartInPlace(ck *stateCookie) {
 // collision.
 func (a *Assoc) handleCookieEchoOnAssoc(src, dst netsim.Addr, c *chunk) {
 	if a.state == aEstablished {
-		if ck, err := decodeCookie(c.Cookie, a.sock.stack.secret); err == nil &&
+		if ck, err := decodeCookie(c.Cookie, a.sock.stack.cookieMAC()); err == nil &&
 			(ck.LocalTag != a.myTag || ck.PeerTag != a.peerTag) {
 			// A validated cookie with new tags: the peer restarted.
 			a.restartInPlace(ck)
@@ -418,7 +403,7 @@ func (a *Assoc) handleCookieEchoOnAssoc(src, dst netsim.Addr, c *chunk) {
 	if a.state != aCookieWait && a.state != aCookieEchoed {
 		return
 	}
-	ck, err := decodeCookie(c.Cookie, a.sock.stack.secret)
+	ck, err := decodeCookie(c.Cookie, a.sock.stack.cookieMAC())
 	if err != nil || ck.LocalTag != a.myTag {
 		return
 	}
@@ -440,7 +425,7 @@ func (sk *Socket) handleCookieEcho(src, dst netsim.Addr, pkt *packet, c *chunk) 
 	if !sk.listening {
 		return
 	}
-	ck, err := decodeCookie(c.Cookie, sk.stack.secret)
+	ck, err := decodeCookie(c.Cookie, sk.stack.cookieMAC())
 	if err != nil {
 		return
 	}

@@ -51,13 +51,13 @@ type ireasm struct {
 	reorder     []map[seqnum.MID]*Message
 }
 
+// init sizes the per-stream state. The partial map and the per-stream
+// reorder maps are made on first insert; reads and deletes on a nil map
+// are safe.
 func (ir *ireasm) init(streams int) {
-	ir.partial = make(map[uint64]*ipartial)
+	ir.partial = nil
 	ir.expectedMID = make([]seqnum.MID, streams)
 	ir.reorder = make([]map[seqnum.MID]*Message, streams)
-	for i := range ir.reorder {
-		ir.reorder[i] = make(map[seqnum.MID]*Message)
-	}
 }
 
 // release drops all reassembly state (association teardown or restart).
@@ -69,9 +69,7 @@ func (ir *ireasm) release() {
 		pm.releaseFrags()
 		delete(ir.partial, key)
 	}
-	for i := range ir.reorder {
-		ir.reorder[i] = make(map[seqnum.MID]*Message)
-	}
+	clear(ir.reorder)
 	for i := range ir.expectedMID {
 		ir.expectedMID[i] = 0
 	}
@@ -107,6 +105,9 @@ func (ir *ireasm) feed(c *chunk, deliver func(*Message)) {
 		pm = &ipartial{
 			stream: c.Stream, mid: c.MID,
 			frags: make(map[seqnum.FSN]frag),
+		}
+		if ir.partial == nil {
+			ir.partial = make(map[uint64]*ipartial)
 		}
 		ir.partial[key] = pm
 	}
@@ -190,6 +191,9 @@ func (ir *ireasm) deliverOrdered(m *Message, deliver func(*Message)) {
 			// buffer, the parked one keeps ownership.
 			wire.PutBuf(m.Data)
 			return
+		}
+		if ir.reorder[st] == nil {
+			ir.reorder[st] = make(map[seqnum.MID]*Message)
 		}
 		ir.reorder[st][mid] = m
 		return

@@ -1,6 +1,8 @@
 package sctp
 
 import (
+	"errors"
+
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -83,16 +85,9 @@ func (l *OneToOneListener) Config() Config { return l.sock.Config() }
 // the porting-aid role this style plays).
 func (l *OneToOneListener) Accept(p *sim.Proc) (*Conn, error) {
 	for {
-		// Take only the COMM_UP event, leaving queued data untouched
-		// (and in order) for the Conns that own it.
-		for i, m := range l.sock.rq {
-			if m.Notification == NotifyCommUp {
-				l.sock.rq = append(l.sock.rq[:i], l.sock.rq[i+1:]...)
-				return &Conn{sock: l.sock, assoc: m.Assoc, peer: m.Peer}, nil
-			}
-		}
-		if l.sock.closed {
-			return nil, ErrClosed
+		c, err := l.TryAccept()
+		if !errors.Is(err, ErrWouldBlock) {
+			return c, err
 		}
 		l.sock.rcvCond.Wait(p)
 	}
@@ -102,10 +97,15 @@ func (l *OneToOneListener) Accept(p *sim.Proc) (*Conn, error) {
 // inbound association as a Conn, ErrWouldBlock when none is pending,
 // or ErrClosed once the listener is closed.
 func (l *OneToOneListener) TryAccept() (*Conn, error) {
-	for i, m := range l.sock.rq {
-		if m.Notification == NotifyCommUp {
-			l.sock.rq = append(l.sock.rq[:i], l.sock.rq[i+1:]...)
-			return &Conn{sock: l.sock, assoc: m.Assoc, peer: m.Peer}, nil
+	// Take only the COMM_UP event, leaving queued data untouched (and in
+	// order) for the Conns that own it.
+	rq := &l.sock.rq
+	for i := 0; i < rq.Len(); i++ {
+		if m := rq.At(i); m.Notification == NotifyCommUp {
+			rq.RemoveAt(i)
+			c := &Conn{sock: l.sock, assoc: m.Assoc, peer: m.Peer}
+			l.sock.ReleaseMsg(m)
+			return c, nil
 		}
 	}
 	if l.sock.closed {
@@ -135,10 +135,11 @@ func (c *Conn) TrySendMsg(stream uint16, ppid uint32, data []byte) error {
 // uninteresting notifications are consumed. ErrWouldBlock means
 // nothing is pending.
 func (c *Conn) TryRecvMsg() (*Message, error) {
+	rq := &c.sock.rq
 	for {
 		found := -1
-		for i, m := range c.sock.rq {
-			if m.Assoc == c.assoc {
+		for i := 0; i < rq.Len(); i++ {
+			if rq.At(i).Assoc == c.assoc {
 				found = i
 				break
 			}
@@ -149,8 +150,7 @@ func (c *Conn) TryRecvMsg() (*Message, error) {
 			}
 			return nil, ErrWouldBlock
 		}
-		m := c.sock.rq[found]
-		c.sock.rq = append(c.sock.rq[:found], c.sock.rq[found+1:]...)
+		m := rq.RemoveAt(found)
 		switch m.Notification {
 		case NotifyNone:
 			if a := c.sock.byID[m.Assoc]; a != nil {
@@ -158,14 +158,21 @@ func (c *Conn) TryRecvMsg() (*Message, error) {
 			}
 			return m, nil
 		case NotifyCommLost:
+			c.sock.ReleaseMsg(m)
 			return nil, ErrAborted
 		case NotifyShutdownComplete:
+			c.sock.ReleaseMsg(m)
 			return nil, ErrClosed
 		default:
+			c.sock.ReleaseMsg(m)
 			continue // other notifications are uninteresting here
 		}
 	}
 }
+
+// ReleaseMsg hands a received message back for reuse (see
+// Socket.ReleaseMsg).
+func (c *Conn) ReleaseMsg(m *Message) { c.sock.ReleaseMsg(m) }
 
 // Readable reports whether a TryRecvMsg would return something (a
 // message or event for this association, or a terminal socket state).
@@ -173,8 +180,8 @@ func (c *Conn) Readable() bool {
 	if c.sock.closed {
 		return true
 	}
-	for _, m := range c.sock.rq {
-		if m.Assoc == c.assoc {
+	for i := 0; i < c.sock.rq.Len(); i++ {
+		if c.sock.rq.At(i).Assoc == c.assoc {
 			return true
 		}
 	}
@@ -197,33 +204,9 @@ func (c *Conn) SetNotify(fn func(transport.Ready)) { c.sock.SetAssocNotify(c.ass
 // messages belonging to other associations on the shared socket queue.
 func (c *Conn) RecvMsg(p *sim.Proc) (*Message, error) {
 	for {
-		// Scan the socket queue for this association's next message.
-		found := -1
-		for i, m := range c.sock.rq {
-			if m.Assoc == c.assoc {
-				found = i
-				break
-			}
-		}
-		if found >= 0 {
-			m := c.sock.rq[found]
-			c.sock.rq = append(c.sock.rq[:found], c.sock.rq[found+1:]...)
-			switch m.Notification {
-			case NotifyNone:
-				if a := c.sock.byID[m.Assoc]; a != nil {
-					a.creditRwnd(len(m.Data))
-				}
-				return m, nil
-			case NotifyCommLost:
-				return nil, ErrAborted
-			case NotifyShutdownComplete:
-				return nil, ErrClosed
-			default:
-				continue // other notifications are uninteresting here
-			}
-		}
-		if c.sock.closed {
-			return nil, ErrClosed
+		m, err := c.TryRecvMsg()
+		if !errors.Is(err, ErrWouldBlock) {
+			return m, err
 		}
 		c.sock.rcvCond.Wait(p)
 	}

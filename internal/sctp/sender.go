@@ -3,7 +3,6 @@ package sctp
 import (
 	"repro/internal/seqnum"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // trySend fragments and queues one user message, or reports why it
@@ -42,16 +41,13 @@ func (a *Assoc) trySend(stream uint16, ppid uint32, data []byte) error {
 	// as the call returns, but chunks live on until acknowledged. The
 	// copy goes into a pooled buffer shared by all fragments and
 	// recycled once every chunk is acknowledged (or the assoc dies).
-	mb := &msgBuf{b: wire.GetBuf(len(data))}
-	copy(mb.b, data)
+	s := a.sock.stack
+	mb := s.newMsgBuf(data)
 	rest := mb.b
 	nfrags := (len(data) + maxSeg - 1) / maxSeg
 	if nfrags == 0 {
 		nfrags = 1
 	}
-	// One slab for the whole message's chunks rather than an allocation
-	// per fragment.
-	ocs := make([]outChunk, nfrags)
 	for i := 0; i < nfrags; i++ {
 		n := len(rest)
 		if n > maxSeg {
@@ -65,7 +61,8 @@ func (a *Assoc) trySend(stream uint16, ppid uint32, data []byte) error {
 			flags |= flagEndFragment
 		}
 		mb.refs++
-		ocs[i] = outChunk{
+		oc := s.newChunk()
+		*oc = outChunk{
 			c: chunk{
 				Type:   ctData,
 				Flags:  flags,
@@ -78,7 +75,7 @@ func (a *Assoc) trySend(stream uint16, ppid uint32, data []byte) error {
 			mb:   mb,
 			size: n,
 		}
-		a.outQ = append(a.outQ, &ocs[i])
+		a.outQ.Push(oc)
 		a.nextTSN = a.nextTSN.Add(1)
 		rest = rest[n:]
 	}
@@ -98,14 +95,13 @@ func (a *Assoc) enqueueIData(stream uint16, ppid uint32, data []byte) {
 	mid := a.outMID[stream]
 	a.outMID[stream] = mid.Add(1)
 	maxSeg := a.paths[a.primary].mtu - iDataChunkHeaderSize
-	mb := &msgBuf{b: wire.GetBuf(len(data))}
-	copy(mb.b, data)
+	s := a.sock.stack
+	mb := s.newMsgBuf(data)
 	rest := mb.b
 	nfrags := (len(data) + maxSeg - 1) / maxSeg
 	if nfrags == 0 {
 		nfrags = 1
 	}
-	ocs := make([]outChunk, nfrags)
 	for i := 0; i < nfrags; i++ {
 		n := len(rest)
 		if n > maxSeg {
@@ -119,7 +115,8 @@ func (a *Assoc) enqueueIData(stream uint16, ppid uint32, data []byte) {
 			flags |= flagEndFragment
 		}
 		mb.refs++
-		ocs[i] = outChunk{
+		oc := s.newChunk()
+		*oc = outChunk{
 			c: chunk{
 				Type:   ctIData,
 				Flags:  flags,
@@ -132,7 +129,7 @@ func (a *Assoc) enqueueIData(stream uint16, ppid uint32, data []byte) {
 			mb:   mb,
 			size: n,
 		}
-		a.sched.push(stream, &ocs[i])
+		a.sched.push(stream, oc)
 		rest = rest[n:]
 	}
 	a.sndUsed += len(data)
@@ -153,8 +150,8 @@ func (a *Assoc) dataHdrSize() int {
 // peekOut returns (reserving, without dequeuing) the next never-sent
 // chunk, or nil when none is queued.
 func (a *Assoc) peekOut() *outChunk {
-	if len(a.outQ) > 0 {
-		return a.outQ[0]
+	if a.outQ.Len() > 0 {
+		return a.outQ.Front()
 	}
 	if a.sched != nil {
 		return a.sched.peek()
@@ -167,10 +164,8 @@ func (a *Assoc) peekOut() *outChunk {
 // order even when the scheduler interleaves streams; SACK gap and
 // missing-report accounting depend on that.
 func (a *Assoc) popOut() *outChunk {
-	if len(a.outQ) > 0 {
-		oc := a.outQ[0]
-		a.outQ = a.outQ[1:]
-		return oc
+	if a.outQ.Len() > 0 {
+		return a.outQ.Pop()
 	}
 	if a.sched == nil {
 		return nil
@@ -235,11 +230,10 @@ func (a *Assoc) transmit() {
 func (a *Assoc) sendRetransmissions() {
 	hdr := a.dataHdrSize()
 	exempt := true
-	for len(a.rtxQ) > 0 {
-		oc := a.rtxQ[0]
+	for a.rtxQ.Len() > 0 {
+		oc := a.rtxQ.Front()
 		if oc.sacked || oc.c.TSN.LessEq(a.lastCumAcked()) {
-			oc.inRtxQ = false
-			a.rtxQ = a.rtxQ[1:]
+			a.dropRtx()
 			continue
 		}
 		pi := a.rtxPath(oc.pathIdx)
@@ -247,28 +241,39 @@ func (a *Assoc) sendRetransmissions() {
 		if !exempt && pt.flight >= pt.cwnd {
 			break
 		}
-		var batch []*outChunk
+		batch := a.batch[:0]
 		size := 0
-		for len(a.rtxQ) > 0 {
-			oc := a.rtxQ[0]
+		for a.rtxQ.Len() > 0 {
+			oc := a.rtxQ.Front()
 			if oc.sacked {
-				oc.inRtxQ = false
-				a.rtxQ = a.rtxQ[1:]
+				a.dropRtx()
 				continue
 			}
 			if size+hdr+oc.size > pt.mtu && len(batch) > 0 {
 				break
 			}
 			oc.inRtxQ = false
-			a.rtxQ = a.rtxQ[1:]
+			a.rtxQ.Pop()
 			batch = append(batch, oc)
 			size += hdr + oc.size
 		}
+		a.batch = batch
 		if len(batch) == 0 {
 			break
 		}
 		a.sendDataPacket(pi, batch, true)
 		exempt = false
+	}
+}
+
+// dropRtx discards the sacked chunk at the head of rtxQ. A chunk the
+// cumulative ack already took out of inflight has left its last queue
+// and is recycled.
+func (a *Assoc) dropRtx() {
+	oc := a.rtxQ.Pop()
+	oc.inRtxQ = false
+	if oc.c.TSN.LessEq(a.lastCumAcked()) {
+		a.sock.stack.freeChunk(oc)
 	}
 }
 
@@ -316,7 +321,7 @@ func (a *Assoc) sendNewData() {
 			}
 			probe = true
 		}
-		var batch []*outChunk
+		batch := a.batch[:0]
 		size := 0
 		budget := pt.cwnd - pt.flight
 		for {
@@ -337,6 +342,7 @@ func (a *Assoc) sendNewData() {
 				break
 			}
 		}
+		a.batch = batch
 		if len(batch) == 0 {
 			return
 		}
@@ -349,8 +355,8 @@ func (a *Assoc) sendNewData() {
 
 // lastCumAcked returns the highest cumulatively acked TSN.
 func (a *Assoc) lastCumAcked() seqnum.V {
-	if len(a.inflight) > 0 {
-		return a.inflight[0].c.TSN.Add(^uint32(0)) // first outstanding - 1
+	if a.inflight.Len() > 0 {
+		return a.inflight.Front().c.TSN.Add(^uint32(0)) // first outstanding - 1
 	}
 	return a.nextTSN.Add(^uint32(0))
 }
@@ -359,11 +365,11 @@ func (a *Assoc) lastCumAcked() seqnum.V {
 // packet on path pi.
 func (a *Assoc) sendDataPacket(pi int, batch []*outChunk, isRtx bool) {
 	pt := a.paths[pi]
-	chunks := make([]*chunk, 0, len(batch)+1)
+	chunks := a.chunks[:0]
 	// Piggyback a pending SACK (bundling, Figure 1 of the paper).
 	if a.sackNow || a.sackTimer.Active() {
 		chunks = append(chunks, a.buildSack())
-		a.dupTSNs = nil
+		a.dupTSNs = a.dupTSNs[:0] // the SACK is encoded below, before any new dup
 		a.pktsNoSack = 0
 		a.sackNow = false
 		a.sackTimer.Stop()
@@ -380,7 +386,7 @@ func (a *Assoc) sendDataPacket(pi int, batch []*outChunk, isRtx bool) {
 			if a.peerRwnd < 0 {
 				a.peerRwnd = 0
 			}
-			a.inflight = append(a.inflight, oc)
+			a.inflight.Push(oc)
 		} else {
 			a.stats.Retransmits++
 			if pt.rttActive && pt.rttTSN == oc.c.TSN {
@@ -401,6 +407,8 @@ func (a *Assoc) sendDataPacket(pi int, batch []*outChunk, isRtx bool) {
 	}
 	pt.lastSend = a.kernel().Now()
 	a.sendChunks(pt.src, pt.addr, chunks)
+	clear(chunks) // drop the pointers; the packet is encoded
+	a.chunks = chunks
 	a.armT3(pi)
 }
 
@@ -456,14 +464,15 @@ func (a *Assoc) onT3(pi int) {
 	// flight here (pt.flight = 0 below), so mark each chunk accordingly:
 	// a SACK for the original transmission must not decrement flight a
 	// second time.
-	for _, oc := range a.inflight {
+	for i := 0; i < a.inflight.Len(); i++ {
+		oc := a.inflight.At(i)
 		if oc.pathIdx != pi {
 			continue
 		}
 		oc.inFlight = false
 		if !oc.sacked && !oc.inRtxQ {
 			oc.inRtxQ = true
-			a.rtxQ = append(a.rtxQ, oc)
+			a.rtxQ.Push(oc)
 		}
 	}
 	pt.flight = 0
@@ -488,9 +497,8 @@ func (a *Assoc) processSack(c *chunk) {
 	newlyAcked := false
 
 	// Cumulative acknowledgment.
-	for len(a.inflight) > 0 && a.inflight[0].c.TSN.LessEq(cum) {
-		oc := a.inflight[0]
-		a.inflight = a.inflight[1:]
+	for a.inflight.Len() > 0 && a.inflight.Front().c.TSN.LessEq(cum) {
+		oc := a.inflight.Pop()
 		pt := a.paths[oc.pathIdx]
 		if oc.inFlight {
 			oc.inFlight = false
@@ -501,7 +509,7 @@ func (a *Assoc) processSack(c *chunk) {
 			ackedPerPath[oc.pathIdx] += oc.size
 		}
 		oc.sacked = true // fully acked; a sacked chunk is never sent again
-		oc.releaseBuf()
+		a.releaseBuf(oc)
 		a.sndUsed -= oc.size
 		newlyAcked = true
 		if pt.rttActive && oc.c.TSN.GreaterEq(pt.rttTSN) {
@@ -510,6 +518,7 @@ func (a *Assoc) processSack(c *chunk) {
 				a.updatePathRTT(pt, a.kernel().Now()-pt.rttStart)
 			}
 		}
+		a.retire(oc)
 	}
 
 	// Gap-ack blocks: first mark SACKed chunks (recording, per path, the
@@ -519,7 +528,8 @@ func (a *Assoc) processSack(c *chunk) {
 	if haveGaps {
 		highestSacked = cum.Add(uint32(c.Gaps[len(c.Gaps)-1].End))
 		newlySackedHigh := make(map[int]seqnum.V)
-		for _, oc := range a.inflight {
+		for i := 0; i < a.inflight.Len(); i++ {
+			oc := a.inflight.At(i)
 			tsn := oc.c.TSN
 			inGap := false
 			for _, g := range c.Gaps {
@@ -536,7 +546,7 @@ func (a *Assoc) processSack(c *chunk) {
 			}
 			if !oc.sacked {
 				oc.sacked = true
-				oc.releaseBuf()
+				a.releaseBuf(oc)
 				pt := a.paths[oc.pathIdx]
 				if oc.inFlight {
 					oc.inFlight = false
@@ -553,7 +563,8 @@ func (a *Assoc) processSack(c *chunk) {
 				}
 			}
 		}
-		for _, oc := range a.inflight {
+		for i := 0; i < a.inflight.Len(); i++ {
+			oc := a.inflight.At(i)
 			if oc.sacked || oc.inRtxQ {
 				continue
 			}
@@ -634,7 +645,7 @@ func (a *Assoc) processSack(c *chunk) {
 
 	// Retransmission timers.
 	for pi, pt := range a.paths {
-		if pt.flight == 0 && len(a.rtxQ) == 0 {
+		if pt.flight == 0 && a.rtxQ.Len() == 0 {
 			pt.t3.Stop()
 		} else if pt.flight > 0 && newlyAcked {
 			a.restartT3(pi)
@@ -673,15 +684,15 @@ func (a *Assoc) markFastRtx(oc *outChunk) {
 	}
 	oc.missing = 0
 	oc.inRtxQ = true
-	a.rtxQ = append(a.rtxQ, oc)
+	a.rtxQ.Push(oc)
 	a.probeCwnd(pt)
 }
 
 // outstandingUnsacked returns in-flight bytes not yet sacked.
 func (a *Assoc) outstandingUnsacked() int {
 	n := 0
-	for _, oc := range a.inflight {
-		if !oc.sacked && !oc.inRtxQ {
+	for i := 0; i < a.inflight.Len(); i++ {
+		if oc := a.inflight.At(i); !oc.sacked && !oc.inRtxQ {
 			n += oc.size
 		}
 	}

@@ -3,6 +3,7 @@ package sctp
 import (
 	"errors"
 
+	"repro/internal/fifo"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -34,7 +35,10 @@ const (
 )
 
 // Message is what RecvMsg returns: either user data (Notification ==
-// NotifyNone) or an association event.
+// NotifyNone) or an association event. Data is a wire-pool buffer that
+// passes to the receiver. A receiver done with the message itself may
+// hand it back with ReleaseMsg, which lets the stack reuse it for a
+// later one; a message never handed back is simply garbage collected.
 type Message struct {
 	Assoc        AssocID
 	Peer         netsim.Addr
@@ -64,7 +68,7 @@ type Socket struct {
 	assocs map[addrPort]*Assoc // by every peer (address, port)
 	byID   map[AssocID]*Assoc
 
-	rq       []*Message
+	rq       fifo.Queue[*Message]
 	rcvCond  *sim.Cond
 	notify   func(transport.Ready)
 	notifyBy map[AssocID]func(transport.Ready)
@@ -239,13 +243,12 @@ func (sk *Socket) handlePacket(src, dst netsim.Addr, pkt *packet) {
 
 // sendControl emits a single-chunk packet outside any association.
 func (sk *Socket) sendControl(src, dst netsim.Addr, dstPort uint16, tag uint32, c *chunk) {
-	p := &packet{SrcPort: sk.port, DstPort: dstPort, VerificationTag: tag, Chunks: []*chunk{c}}
-	sk.stack.node.Send(netsim.NewPooledPacket(src, dst, netsim.ProtoSCTP, encodePacket(p)))
+	sk.stack.send(src, dst, &packet{SrcPort: sk.port, DstPort: dstPort, VerificationTag: tag, Chunks: []*chunk{c}})
 }
 
 // enqueue places a message or notification on the socket receive queue.
 func (sk *Socket) enqueue(m *Message) {
-	sk.rq = append(sk.rq, m)
+	sk.rq.Push(m)
 	if m.Notification == NotifyNone {
 		sk.Stats.MsgsRcvd++
 		sk.Stats.BytesRcvd += int64(len(m.Data))
@@ -277,14 +280,13 @@ func (sk *Socket) RecvMsg(p *sim.Proc) (*Message, error) {
 
 // TryRecvMsg is the nonblocking variant of RecvMsg.
 func (sk *Socket) TryRecvMsg() (*Message, error) {
-	if len(sk.rq) == 0 {
+	if sk.rq.Len() == 0 {
 		if sk.closed {
 			return nil, ErrClosed
 		}
 		return nil, ErrWouldBlock
 	}
-	m := sk.rq[0]
-	sk.rq = sk.rq[1:]
+	m := sk.rq.Pop()
 	if m.Notification == NotifyNone {
 		// Reading frees receive-buffer space: credit the association's
 		// advertised window and let it update the peer.
@@ -295,8 +297,16 @@ func (sk *Socket) TryRecvMsg() (*Message, error) {
 	return m, nil
 }
 
+// ReleaseMsg hands a received message back for reuse. The caller must
+// not touch m afterwards; its Data buffer is not affected and stays the
+// caller's.
+func (sk *Socket) ReleaseMsg(m *Message) {
+	*m = Message{}
+	sk.stack.freeMsgs.Put(m)
+}
+
 // Readable reports whether TryRecvMsg would return something.
-func (sk *Socket) Readable() bool { return len(sk.rq) > 0 || sk.closed }
+func (sk *Socket) Readable() bool { return sk.rq.Len() > 0 || sk.closed }
 
 // Writable reports whether at least one established association could
 // accept outbound data right now.

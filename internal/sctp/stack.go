@@ -1,11 +1,17 @@
 package sctp
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
+	"hash"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/netsim"
+	"repro/internal/seqnum"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // StackStats counts stack-level events that occur before a packet is
@@ -21,8 +27,18 @@ type Stack struct {
 	cfg      Config
 	socks    map[uint16]*Socket
 	secret   []byte
+	mac      hash.Hash // HMAC-SHA256 under secret, shared by cookie sign and verify
 	nextPort uint16
 	nextID   AssocID
+
+	// Free lists of the per-message objects, shared by every association
+	// on the stack. They start empty and fill as objects are released, so
+	// the steady state allocates nothing.
+	freePkts   freelist.List[packet]     // decoded inbound packets
+	freeMsgs   freelist.List[Message]    // received messages handed back with ReleaseMsg
+	freeBufs   freelist.List[msgBuf]     // outbound message copies
+	freeChunks freelist.List[outChunk]   // outbound DATA chunks
+	freeParts  freelist.List[partialMsg] // inbound reassemblies, fragment maps kept
 
 	Stats StackStats
 }
@@ -59,6 +75,81 @@ func (s *Stack) ephemeralPort() uint16 {
 	return p
 }
 
+// send encodes p and transmits it from src to dst.
+func (s *Stack) send(src, dst netsim.Addr, p *packet) {
+	s.node.Send(s.node.NewPacket(src, dst, netsim.ProtoSCTP, encodePacket(p)))
+}
+
+// cookieMAC returns the stack's HMAC, reset for a new message. It is
+// created on first use: a stack that never signs or checks a cookie
+// never builds one.
+func (s *Stack) cookieMAC() hash.Hash {
+	if s.mac == nil {
+		s.mac = hmac.New(sha256.New, s.secret)
+	}
+	s.mac.Reset()
+	return s.mac
+}
+
+func (s *Stack) newPacket() *packet {
+	if p := s.freePkts.Get(); p != nil {
+		return p
+	}
+	return new(packet)
+}
+
+func (s *Stack) freePacket(p *packet) {
+	p.reset()
+	s.freePkts.Put(p)
+}
+
+func (s *Stack) newMsg() *Message {
+	if m := s.freeMsgs.Get(); m != nil {
+		return m
+	}
+	return new(Message)
+}
+
+// newMsgBuf returns a message copy holding a pooled copy of data.
+func (s *Stack) newMsgBuf(data []byte) *msgBuf {
+	mb := s.freeBufs.Get()
+	if mb == nil {
+		mb = new(msgBuf)
+	}
+	mb.b = wire.GetBuf(len(data))
+	copy(mb.b, data)
+	return mb
+}
+
+func (s *Stack) newChunk() *outChunk {
+	if oc := s.freeChunks.Get(); oc != nil {
+		return oc
+	}
+	return new(outChunk)
+}
+
+// freeChunk recycles a chunk that has left every queue. Its share of the
+// message copy must have been released already.
+func (s *Stack) freeChunk(oc *outChunk) {
+	*oc = outChunk{}
+	s.freeChunks.Put(oc)
+}
+
+func (s *Stack) newPartial() *partialMsg {
+	if pm := s.freeParts.Get(); pm != nil {
+		return pm
+	}
+	return &partialMsg{frags: make(map[seqnum.V]frag)}
+}
+
+// freePartial recycles a completed reassembly. Clearing its fragment map
+// keeps the map's storage for the next message.
+func (s *Stack) freePartial(pm *partialMsg) {
+	clear(pm.frags)
+	*pm = partialMsg{frags: pm.frags}
+	s.freeParts.Put(pm)
+}
+
 // respondOOTB answers an out-of-the-blue packet (no socket on the
 // destination port) with an ABORT: for INIT, the ABORT carries the
 // INIT's initiate tag (the only tag the sender will accept while in
@@ -84,20 +175,20 @@ func (s *Stack) respondOOTB(src, dst netsim.Addr, pkt *packet) {
 		if c.Type == ctInit {
 			tag = c.InitiateTag
 		}
-		p := &packet{
+		s.send(src, dst, &packet{
 			SrcPort:         pkt.DstPort,
 			DstPort:         pkt.SrcPort,
 			VerificationTag: tag,
 			Chunks:          []*chunk{ab},
-		}
-		s.node.Send(netsim.NewPooledPacket(src, dst, netsim.ProtoSCTP, encodePacket(p)))
+		})
 		return
 	}
 }
 
 func (s *Stack) handlePacket(ipPkt *netsim.Packet, ifc *netsim.Iface) {
-	pkt, err := decodePacket(ipPkt.Payload, s.cfg.ChecksumVerify)
-	if err != nil {
+	pkt := s.newPacket()
+	if err := pkt.decode(ipPkt.Payload, s.cfg.ChecksumVerify); err != nil {
+		s.freePacket(pkt)
 		// A corrupted packet that fails the CRC (or is structurally
 		// unparseable) is dropped here; the sender's T3 timer recovers,
 		// exactly as with loss. The paper's kernels computed the CRC but
@@ -117,7 +208,7 @@ func (s *Stack) handlePacket(ipPkt *netsim.Packet, ifc *netsim.Iface) {
 		// endpoint fails fast instead of exhausting its timers. Packets
 		// that themselves carry an ABORT are never answered (rule 2).
 		s.respondOOTB(ipPkt.Dst, ipPkt.Src, pkt)
-		releasePacket(pkt)
+		s.freePacket(pkt)
 		return
 	}
 	// DATA chunk payloads alias the IP payload; record the owning packet
@@ -129,21 +220,23 @@ func (s *Stack) handlePacket(ipPkt *netsim.Packet, ifc *netsim.Iface) {
 			nData++
 		}
 	}
-	// Dispatch keeps nothing but payload slices and the owning netsim
-	// packet; the decoded packet and its chunks recycle right after.
-	deliver := func() {
-		sk.handlePacket(ipPkt.Src, ipPkt.Dst, pkt)
-		releasePacket(pkt)
-	}
 	if d := sk.cfg.PerChunkDelay; d > 0 && nData > 0 {
 		// The chunks alias the pooled payload; keep it alive across the
 		// deferred dispatch.
 		ipPkt.Retain()
 		s.kernel().After(time.Duration(nData)*d, func() {
-			deliver()
+			s.dispatch(sk, ipPkt, pkt)
 			ipPkt.Release()
 		})
 		return
 	}
-	deliver()
+	s.dispatch(sk, ipPkt, pkt)
+}
+
+// dispatch hands a decoded packet to its socket. Dispatch keeps nothing
+// but payload slices and the owning netsim packet; the decoded packet
+// and its chunks recycle right after.
+func (s *Stack) dispatch(sk *Socket, ipPkt *netsim.Packet, pkt *packet) {
+	sk.handlePacket(ipPkt.Src, ipPkt.Dst, pkt)
+	s.freePacket(pkt)
 }

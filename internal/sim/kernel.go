@@ -15,6 +15,9 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/fifo"
+	"repro/internal/freelist"
 )
 
 // Kernel is a discrete-event scheduler with virtual time.
@@ -22,9 +25,9 @@ type Kernel struct {
 	now      time.Duration
 	seq      uint64
 	sched    timerWheel
-	run      procRing
-	free     []*event // recycled event structs
-	arena    []event  // current allocation block (see allocEvent)
+	run      fifo.Queue[*Proc]
+	free     freelist.List[event] // recycled event structs
+	arena    []event              // current allocation block (see allocEvent)
 	arenaPos int
 	procs    map[*Proc]struct{}
 	yield    chan struct{}
@@ -93,12 +96,8 @@ const arenaBlock = 256
 // allocEvent takes an event from the free list (or the current arena
 // block) and stamps it with the next sequence number.
 func (k *Kernel) allocEvent(when time.Duration, fn func()) *event {
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
+	ev := k.free.Get()
+	if ev == nil {
 		if k.arenaPos == len(k.arena) {
 			k.arena = make([]event, arenaBlock)
 			k.arenaPos = 0
@@ -121,7 +120,7 @@ func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.where = locNone
 	ev.index = -1
-	k.free = append(k.free, ev)
+	k.free.Put(ev)
 }
 
 // After schedules fn to run at Now()+d in kernel context.
@@ -145,6 +144,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan struct{}),
 		state:  stateReady,
 	}
+	p.timerFn = p.onTimer
 	k.nprocs++
 	k.procs[p] = struct{}{}
 	go func() {
@@ -154,7 +154,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		delete(k.procs, p)
 		k.schedNext()
 	}()
-	k.run.push(p)
+	k.run.Push(p)
 	return p
 }
 
@@ -178,8 +178,8 @@ func (e *DeadlockError) Error() string {
 // process switch compared to bouncing through the kernel loop, while
 // preserving exact FIFO order.
 func (k *Kernel) schedNext() {
-	if !k.stopped && k.run.len > 0 {
-		p := k.run.pop()
+	if !k.stopped && k.run.Len() > 0 {
+		p := k.run.Pop()
 		p.state = stateRunning
 		p.resume <- struct{}{}
 		return
@@ -198,11 +198,11 @@ func (k *Kernel) Run() error {
 	k.stopped = false
 	defer func() { k.running = false }()
 	for {
-		if !k.stopped && k.run.len > 0 {
+		if !k.stopped && k.run.Len() > 0 {
 			// Kick off the first runnable process; the processes then
 			// hand control to each other directly and the last one
 			// yields back here once the run queue drains.
-			p := k.run.pop()
+			p := k.run.Pop()
 			p.state = stateRunning
 			p.resume <- struct{}{}
 			<-k.yield
@@ -265,41 +265,7 @@ func (k *Kernel) ready(p *Proc) {
 		return
 	}
 	p.state = stateReady
-	k.run.push(p)
-}
-
-// procRing is a growable FIFO ring buffer for the run queue. Unlike the
-// former head-sliced []* queue, popped slots are nilled out immediately,
-// so the backing array never pins finished processes.
-type procRing struct {
-	buf  []*Proc // len(buf) is always a power of two (or zero)
-	head int
-	len  int
-}
-
-func (r *procRing) push(p *Proc) {
-	if r.len == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.len)&(len(r.buf)-1)] = p
-	r.len++
-}
-
-func (r *procRing) pop() *Proc {
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.len--
-	return p
-}
-
-func (r *procRing) grow() {
-	nbuf := make([]*Proc, max(2*len(r.buf), 8))
-	for i := 0; i < r.len; i++ {
-		nbuf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = nbuf
-	r.head = 0
+	k.run.Push(p)
 }
 
 type event struct {

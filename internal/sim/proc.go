@@ -24,6 +24,14 @@ type Proc struct {
 	// it, and a wakeup crafted for an earlier generation is ignored.
 	waitGen  uint64
 	timedOut bool
+
+	// The process's own timer, armed by Sleep and WaitTimeout. timerFn is
+	// onTimer bound once at Spawn, so arming the timer allocates nothing;
+	// timerGen is the park generation the armed timer may wake, and
+	// timerCond the condition a timed wait is queued on (nil for Sleep).
+	timerFn   func()
+	timerGen  uint64
+	timerCond *Cond
 }
 
 // Name returns the process name given at Spawn.
@@ -53,13 +61,13 @@ func (p *Proc) park() {
 // rescheduled after currently pending work.
 func (p *Proc) Yield() {
 	k := p.k
-	if k.run.len == 0 && !k.stopped {
+	if k.run.Len() == 0 && !k.stopped {
 		// No other process is runnable: handing control away would
 		// schedule p itself right back, so just keep running.
 		return
 	}
 	p.state = stateReady
-	k.run.push(p)
+	k.run.Push(p)
 	k.schedNext()
 	<-p.resume
 }
@@ -70,19 +78,39 @@ func (p *Proc) Sleep(d time.Duration) {
 		p.Yield()
 		return
 	}
-	gen := p.waitGen + 1
-	p.k.After(d, func() {
-		if p.waitGen == gen && p.state == stateParked {
-			p.k.ready(p)
-		}
-	})
+	p.armTimer(d, nil)
 	p.park()
+}
+
+// armTimer schedules the process's own timer to end the next park after
+// d. c is the condition a timed wait is queued on, or nil for a plain
+// sleep.
+func (p *Proc) armTimer(d time.Duration, c *Cond) Timer {
+	p.timerGen = p.waitGen + 1
+	p.timerCond = c
+	return p.k.After(d, p.timerFn)
+}
+
+// onTimer ends the park armTimer was armed for, unless that park is over
+// already: a timed wait removes itself from its condition and reports
+// the timeout.
+func (p *Proc) onTimer() {
+	if p.waitGen != p.timerGen || p.state != stateParked {
+		return
+	}
+	if c := p.timerCond; c != nil {
+		c.remove(p)
+		p.timedOut = true
+	}
+	p.k.ready(p)
 }
 
 // Cond is a condition variable for simulation processes. The zero value
 // is not usable; create one with NewCond.
 type Cond struct {
-	k       *Kernel
+	k *Kernel
+	// waiters is FIFO; its backing array is kept across wake-ups so a
+	// steady wait/signal cycle allocates nothing.
 	waiters []*Proc
 }
 
@@ -105,39 +133,36 @@ func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	gen := p.waitGen + 1
 	p.timedOut = false
-	t := c.k.After(d, func() {
-		if p.waitGen == gen && p.state == stateParked {
-			c.remove(p)
-			p.timedOut = true
-			c.k.ready(p)
-		}
-	})
+	t := p.armTimer(d, c)
 	c.waiters = append(c.waiters, p)
 	p.park()
 	t.Stop()
+	p.timerCond = nil
 	return !p.timedOut
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
+	n := len(c.waiters)
+	if n == 0 {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters[0] = nil // release the slot; head-slicing pins the array
-	c.waiters = c.waiters[1:]
+	copy(c.waiters, c.waiters[1:])
+	c.waiters[n-1] = nil
+	c.waiters = c.waiters[:n-1]
 	c.k.ready(p)
 }
 
-// Broadcast wakes every waiting process.
+// Broadcast wakes every waiting process. ready only queues a process,
+// so no waiter can run (and wait again) while the list is walked.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for i, p := range c.waiters {
+		c.waiters[i] = nil
 		c.k.ready(p)
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Waiters returns the number of processes currently blocked on c.
@@ -146,7 +171,10 @@ func (c *Cond) Waiters() int { return len(c.waiters) }
 func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
 		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			n := len(c.waiters)
+			copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[n-1] = nil
+			c.waiters = c.waiters[:n-1]
 			return
 		}
 	}

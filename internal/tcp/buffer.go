@@ -6,14 +6,18 @@ import (
 )
 
 // sendBuffer holds unacknowledged and not-yet-sent outbound bytes. The
-// byte at offset 0 always corresponds to snd.una.
+// byte at offset 0 always corresponds to snd.una. The bytes live in
+// buf[head:]; acked bytes are dropped by advancing head, and write
+// slides the live bytes back to the front of the array when it runs out
+// of room, so a connection settles on one array and stops allocating.
 type sendBuffer struct {
-	data  []byte
+	buf   []byte
+	head  int
 	limit int
 }
 
-func (b *sendBuffer) len() int   { return len(b.data) }
-func (b *sendBuffer) space() int { return b.limit - len(b.data) }
+func (b *sendBuffer) len() int   { return len(b.buf) - b.head }
+func (b *sendBuffer) space() int { return b.limit - b.len() }
 
 // write appends up to space() bytes from p, returning how many were
 // taken.
@@ -22,33 +26,47 @@ func (b *sendBuffer) write(p []byte) int {
 	if n > len(p) {
 		n = len(p)
 	}
-	b.data = append(b.data, p[:n]...)
+	if len(b.buf)+n > cap(b.buf) {
+		live := b.buf[b.head:]
+		if len(live)+n > cap(b.buf)/2 {
+			// Too full to slide: grow to twice what is needed, moving
+			// only the live bytes.
+			nb := make([]byte, len(live), 2*(len(live)+n))
+			copy(nb, live)
+			b.buf = nb
+		} else {
+			// Slide. At most half the array moves and at least half is
+			// free afterwards, so copying costs O(1) per byte written.
+			b.buf = b.buf[:copy(b.buf, live)]
+		}
+		b.head = 0
+	}
+	b.buf = append(b.buf, p[:n]...)
 	return n
 }
 
 // slice returns up to n bytes starting at byte offset off (relative to
-// snd.una). The returned slice must not be retained across acks.
+// snd.una). The returned slice must not be retained across writes or
+// acks.
 func (b *sendBuffer) slice(off, n int) []byte {
-	if off >= len(b.data) {
+	if off >= b.len() {
 		return nil
 	}
 	end := off + n
-	if end > len(b.data) {
-		end = len(b.data)
+	if end > b.len() {
+		end = b.len()
 	}
-	return b.data[off:end]
+	return b.buf[b.head+off : b.head+end]
 }
 
 // ack discards n bytes from the front (they were cumulatively acked).
 func (b *sendBuffer) ack(n int) {
-	if n > len(b.data) {
-		n = len(b.data)
+	if n > b.len() {
+		n = b.len()
 	}
-	b.data = b.data[n:]
-	// Reclaim storage occasionally so long-lived connections do not pin
-	// the high-water-mark backing array.
-	if cap(b.data) > 4*b.limit && len(b.data) < b.limit {
-		b.data = append([]byte(nil), b.data...)
+	b.head += n
+	if b.head == len(b.buf) {
+		b.buf, b.head = b.buf[:0], 0
 	}
 }
 
@@ -167,9 +185,8 @@ func (b *recvBuffer) insertOOO(seq seqnum.V, data []byte) int {
 			break
 		}
 		if i == len(b.ooo) {
-			cp := append([]byte(nil), data...)
-			b.ooo = append(b.ooo, oooSeg{seq, cp})
-			stored += len(cp)
+			b.ooo = append(b.ooo, oooSeg{seq, copyOf(data)})
+			stored += len(data)
 			break
 		}
 		cur := b.ooo[i]
@@ -177,9 +194,8 @@ func (b *recvBuffer) insertOOO(seq seqnum.V, data []byte) int {
 		segEnd := seq.Add(uint32(len(data)))
 		if segEnd.LessEq(cur.Seq) {
 			// Entirely before cur: insert here.
-			cp := append([]byte(nil), data...)
-			b.ooo = append(b.ooo[:i], append([]oooSeg{{seq, cp}}, b.ooo[i:]...)...)
-			stored += len(cp)
+			b.insertAt(i, oooSeg{seq, copyOf(data)})
+			stored += len(data)
 			data = nil
 			break
 		}
@@ -190,8 +206,7 @@ func (b *recvBuffer) insertOOO(seq seqnum.V, data []byte) int {
 		// with the part after cur.
 		if seq.Less(cur.Seq) {
 			n := cur.Seq.Sub(seq)
-			cp := append([]byte(nil), data[:n]...)
-			b.ooo = append(b.ooo[:i], append([]oooSeg{{seq, cp}}, b.ooo[i:]...)...)
+			b.insertAt(i, oooSeg{seq, copyOf(data[:n])})
 			stored += int(n)
 			i++ // skip the piece we just inserted
 		}
@@ -206,6 +221,19 @@ func (b *recvBuffer) insertOOO(seq seqnum.V, data []byte) int {
 	}
 	b.oooLen += stored
 	return stored
+}
+
+// copyOf copies an out-of-order segment's bytes into a pooled buffer,
+// which extract returns to the pool.
+func copyOf(data []byte) []byte {
+	return append(wire.GetBuf(len(data))[:0], data...)
+}
+
+// insertAt inserts s at index i of the reassembly queue.
+func (b *recvBuffer) insertAt(i int, s oooSeg) {
+	b.ooo = append(b.ooo, oooSeg{})
+	copy(b.ooo[i+1:], b.ooo[i:])
+	b.ooo[i] = s
 }
 
 // extract pops consecutive out-of-order segments starting at nxt,
@@ -224,21 +252,24 @@ func (b *recvBuffer) extract(nxt seqnum.V) seqnum.V {
 			nxt = end
 		}
 		b.oooLen -= len(s.Data)
-		b.ooo = b.ooo[1:]
+		wire.PutBuf(s.Data)
+		n := copy(b.ooo, b.ooo[1:])
+		b.ooo[n] = oooSeg{}
+		b.ooo = b.ooo[:n]
 	}
 	return nxt
 }
 
-// sackBlocks builds up to max SACK blocks describing the out-of-order
-// queue, most-recently-relevant first per RFC 2018. firstHint, when
-// nonzero length, is placed first (the block containing the most
-// recently received segment).
-func (b *recvBuffer) sackBlocks(max int, recentSeq seqnum.V, recentLen int) []sackBlock {
+// sackBlocks appends to blocks (normally a reused scratch slice,
+// truncated) up to max SACK blocks describing the out-of-order queue,
+// most-recently-relevant first per RFC 2018. The block containing the
+// most recently received segment (recentSeq, when recentLen is nonzero)
+// is placed first.
+func (b *recvBuffer) sackBlocks(blocks []sackBlock, max int, recentSeq seqnum.V, recentLen int) []sackBlock {
 	if len(b.ooo) == 0 {
-		return nil
+		return blocks
 	}
 	// Coalesce adjacent stored segments into blocks.
-	var blocks []sackBlock
 	cur := sackBlock{b.ooo[0].Seq, b.ooo[0].Seq.Add(uint32(len(b.ooo[0].Data)))}
 	for _, s := range b.ooo[1:] {
 		if s.Seq == cur.End {

@@ -99,7 +99,7 @@ func TestSackBlockCoalescing(t *testing.T) {
 	b.insertOOO(100, make([]byte, 10)) // [100,110)
 	b.insertOOO(110, make([]byte, 10)) // adjacent: one block [100,120)
 	b.insertOOO(200, make([]byte, 5))  // separate block
-	blocks := b.sackBlocks(4, 200, 5)
+	blocks := b.sackBlocks(nil, 4, 200, 5)
 	if len(blocks) != 2 {
 		t.Fatalf("blocks = %+v", blocks)
 	}
@@ -117,10 +117,10 @@ func TestSackBlockLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.insertOOO(seqnum.V(i*100), make([]byte, 10))
 	}
-	if got := len(b.sackBlocks(4, 0, 0)); got != 4 {
+	if got := len(b.sackBlocks(nil, 4, 0, 0)); got != 4 {
 		t.Fatalf("block count = %d, want 4 (the BSD option-space limit)", got)
 	}
-	if got := len(b.sackBlocks(64, 0, 0)); got != 10 {
+	if got := len(b.sackBlocks(nil, 64, 0, 0)); got != 10 {
 		t.Fatalf("unlimited block count = %d", got)
 	}
 }

@@ -132,7 +132,7 @@ type Conn struct {
 
 	// Send state.
 	iss       seqnum.V
-	sndBase   seqnum.V // sequence number of sb.data[0]
+	sndBase   seqnum.V // sequence number of the send buffer's first byte
 	sndUna    seqnum.V
 	sndNxt    seqnum.V
 	maxSent   seqnum.V
@@ -171,6 +171,10 @@ type Conn struct {
 	delackTimer  sim.Timer
 	persistTimer sim.Timer
 	persistShift uint
+
+	// onRTO and onDelack as timer callbacks, bound on first use.
+	rtoFn, delackFn func()
+	sackScratch     []sackBlock // SACK blocks of the ACK being built
 
 	readCond, writeCond, connCond *sim.Cond
 	notify                        func(transport.Ready)
@@ -542,19 +546,14 @@ func (c *Conn) addSacked(b sackBlock) {
 		}
 	}
 	// Insert keeping order.
-	inserted := false
-	final := make([]sackBlock, 0, len(out)+1)
-	for _, s := range out {
-		if !inserted && b.Start.Less(s.Start) {
-			final = append(final, b)
-			inserted = true
-		}
-		final = append(final, s)
+	i := 0
+	for i < len(out) && !b.Start.Less(out[i].Start) {
+		i++
 	}
-	if !inserted {
-		final = append(final, b)
-	}
-	c.sacked = final
+	out = append(out, sackBlock{})
+	copy(out[i+1:], out[i:])
+	out[i] = b
+	c.sacked = out
 }
 
 func (c *Conn) pruneSacked() {

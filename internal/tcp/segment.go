@@ -53,7 +53,7 @@ const maxSackBlocks = 4
 const wireSackLimit = 255
 
 // encode serializes the segment into a pooled buffer. The caller owns
-// the result; transmitted segments hand it to netsim via NewPooledPacket
+// the result; transmitted segments hand it to netsim via Node.NewPacket
 // so the network recycles it after delivery.
 func (s *segment) encode() []byte {
 	w := wire.NewPooledWriter(headerBaseSize + 8*len(s.Sacks) + len(s.Data))
@@ -74,8 +74,18 @@ func (s *segment) encode() []byte {
 }
 
 func decodeSegment(b []byte) (*segment, error) {
-	r := wire.NewReader(b)
 	s := &segment{}
+	if err := s.decode(b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decode parses b into s, reusing the array of s.Sacks. Data aliases b.
+func (s *segment) decode(b []byte) error {
+	r := wire.NewReader(b)
+	sacks := s.Sacks[:0]
+	*s = segment{}
 	s.SrcPort = r.U16()
 	s.DstPort = r.U16()
 	s.Seq = seqnum.V(r.U32())
@@ -85,16 +95,16 @@ func decodeSegment(b []byte) (*segment, error) {
 	s.Wnd = r.U32()
 	s.MSS = r.U16()
 	if nsack > wireSackLimit {
-		return nil, fmt.Errorf("tcp: %d SACK blocks exceeds option space", nsack)
+		return fmt.Errorf("tcp: %d SACK blocks exceeds option space", nsack)
 	}
 	for i := 0; i < nsack; i++ {
-		s.Sacks = append(s.Sacks, sackBlock{seqnum.V(r.U32()), seqnum.V(r.U32())})
+		sacks = append(sacks, sackBlock{seqnum.V(r.U32()), seqnum.V(r.U32())})
+	}
+	if nsack > 0 {
+		s.Sacks = sacks
 	}
 	s.Data = r.Rest()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return r.Err()
 }
 
 // segLen returns the amount of sequence space the segment occupies.

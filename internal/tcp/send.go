@@ -172,7 +172,7 @@ func (c *Conn) sendSegment(seg *segment) {
 	seg.SrcPort = c.lport
 	seg.DstPort = c.rport
 	c.Stats.SegsSent++
-	c.stack.node.Send(netsim.NewPooledPacket(c.laddr, c.raddr, netsim.ProtoTCP, seg.encode()))
+	c.stack.node.Send(c.stack.node.NewPacket(c.laddr, c.raddr, netsim.ProtoTCP, seg.encode()))
 }
 
 func (c *Conn) sendSyn() {
@@ -208,11 +208,17 @@ func (c *Conn) scheduleAck() {
 	}
 	c.ackPending = true
 	if !c.delackTimer.Active() {
-		c.delackTimer = c.kernel().After(c.cfg.DelAck, func() {
-			if c.ackPending {
-				c.sendAckNow()
-			}
-		})
+		if c.delackFn == nil {
+			c.delackFn = c.onDelack
+		}
+		c.delackTimer = c.kernel().After(c.cfg.DelAck, c.delackFn)
+	}
+}
+
+// onDelack fires the delayed-ACK timer.
+func (c *Conn) onDelack() {
+	if c.ackPending {
+		c.sendAckNow()
 	}
 }
 
@@ -233,7 +239,8 @@ func (c *Conn) sendAckNow() {
 		Wnd:   uint32(c.rb.window()),
 	}
 	if c.cfg.SackEnabled {
-		seg.Sacks = c.rb.sackBlocks(c.cfg.MaxSackBlocks, c.lastOOOSeq, c.lastOOOLen)
+		c.sackScratch = c.rb.sackBlocks(c.sackScratch[:0], c.cfg.MaxSackBlocks, c.lastOOOSeq, c.lastOOOLen)
+		seg.Sacks = c.sackScratch
 	}
 	c.lastAdvWnd = seg.Wnd
 	c.Stats.AcksSent++
@@ -264,7 +271,10 @@ func (c *Conn) resetRTO() {
 	if d > c.cfg.RTOMax {
 		d = c.cfg.RTOMax
 	}
-	c.rtoTimer = c.kernel().After(d, c.onRTO)
+	if c.rtoFn == nil {
+		c.rtoFn = c.onRTO
+	}
+	c.rtoTimer = c.kernel().After(d, c.rtoFn)
 }
 
 // onRTO fires when the retransmission timer expires.

@@ -16,6 +16,7 @@ type Stack struct {
 	conns     map[fourTuple]*Conn
 	listeners map[uint16]*Listener
 	nextPort  uint16
+	rx        segment // decoded inbound segment, reused for every packet
 }
 
 type fourTuple struct {
@@ -44,37 +45,43 @@ func (s *Stack) Node() *netsim.Node { return s.node }
 func (s *Stack) kernel() *sim.Kernel { return s.node.Kernel() }
 
 func (s *Stack) handlePacket(pkt *netsim.Packet, ifc *netsim.Iface) {
-	seg, err := decodeSegment(pkt.Payload)
-	if err != nil {
-		return
-	}
-	deliver := func() {
-		key := fourTuple{pkt.Dst, seg.DstPort, pkt.Src, seg.SrcPort}
-		if c, ok := s.conns[key]; ok {
-			c.handleSegment(seg)
+	if d := s.cfg.PerSegmentDelay; d > 0 {
+		seg, err := decodeSegment(pkt.Payload)
+		if err != nil {
 			return
 		}
-		if seg.Flags&flagSYN != 0 && seg.Flags&flagACK == 0 {
-			if l, ok := s.listeners[seg.DstPort]; ok {
-				l.handleSyn(pkt, seg)
-				return
-			}
-		}
-		// No matching connection: reset, unless this is itself a reset.
-		if seg.Flags&flagRST == 0 {
-			s.sendRst(pkt, seg)
-		}
-	}
-	if d := s.cfg.PerSegmentDelay; d > 0 {
 		// seg.Data aliases the packet payload; keep it alive across the
 		// deferred dispatch.
 		pkt.Retain()
 		s.kernel().After(d, func() {
-			deliver()
+			s.dispatch(pkt, seg)
 			pkt.Release()
 		})
-	} else {
-		deliver()
+		return
+	}
+	// Dispatch finishes with the segment before the next packet can
+	// arrive, so one decoded segment serves them all.
+	if s.rx.decode(pkt.Payload) == nil {
+		s.dispatch(pkt, &s.rx)
+	}
+}
+
+// dispatch hands a decoded segment to its connection or listener.
+func (s *Stack) dispatch(pkt *netsim.Packet, seg *segment) {
+	key := fourTuple{pkt.Dst, seg.DstPort, pkt.Src, seg.SrcPort}
+	if c, ok := s.conns[key]; ok {
+		c.handleSegment(seg)
+		return
+	}
+	if seg.Flags&flagSYN != 0 && seg.Flags&flagACK == 0 {
+		if l, ok := s.listeners[seg.DstPort]; ok {
+			l.handleSyn(pkt, seg)
+			return
+		}
+	}
+	// No matching connection: reset, unless this is itself a reset.
+	if seg.Flags&flagRST == 0 {
+		s.sendRst(pkt, seg)
 	}
 }
 
@@ -86,7 +93,7 @@ func (s *Stack) sendRst(pkt *netsim.Packet, seg *segment) {
 		Seq:     seg.Ack,
 		Ack:     seg.Seq.Add(seg.segLen()),
 	}
-	s.node.Send(netsim.NewPooledPacket(pkt.Dst, pkt.Src, netsim.ProtoTCP, rst.encode()))
+	s.node.Send(s.node.NewPacket(pkt.Dst, pkt.Src, netsim.ProtoTCP, rst.encode()))
 }
 
 func (s *Stack) removeConn(c *Conn) {

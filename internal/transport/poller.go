@@ -1,5 +1,7 @@
 package transport
 
+import "repro/internal/fifo"
+
 // This file is the readiness layer of the proactor refactor: instead of
 // one global "something changed" boolean that forces the RPI engine to
 // re-scan every peer select()-style, each endpoint posts typed,
@@ -61,9 +63,9 @@ func (r Ready) String() string {
 // is cooperatively scheduled, so posts (kernel context) and drains
 // (process context) never overlap and no synchronization is needed.
 type Poller struct {
-	wake    func()   // fired on every post; wakes the parked engine loop
-	sources []source // index = source id
-	queue   []int    // source ids with pending != 0, FIFO
+	wake    func()          // fired on every post; wakes the parked engine loop
+	sources []source        // index = source id
+	queue   fifo.Queue[int] // source ids with pending != 0
 }
 
 type source struct {
@@ -102,7 +104,7 @@ func (p *Poller) Post(id int, ev Ready) {
 	s.pending |= ev
 	if !s.queued {
 		s.queued = true
-		p.queue = append(p.queue, id)
+		p.queue.Push(id)
 	}
 	if p.wake != nil {
 		p.wake()
@@ -118,11 +120,10 @@ func (p *Poller) Hook(id int) func(Ready) {
 // Next pops the oldest ready source, returning its tag and the
 // coalesced edge mask. ok is false when the queue is empty.
 func (p *Poller) Next() (tag int, ev Ready, ok bool) {
-	if len(p.queue) == 0 {
+	if p.queue.Len() == 0 {
 		return 0, 0, false
 	}
-	id := p.queue[0]
-	p.queue = p.queue[1:]
+	id := p.queue.Pop()
 	s := &p.sources[id]
 	tag, ev = s.tag, s.pending
 	s.pending = 0
@@ -134,7 +135,7 @@ func (p *Poller) Next() (tag int, ev Ready, ok bool) {
 // this (with its kick flag) before parking: a post that lands between
 // the drain and the park stays in the queue, so the wakeup cannot be
 // lost the way a single dirty boolean could.
-func (p *Poller) Pending() bool { return len(p.queue) > 0 }
+func (p *Poller) Pending() bool { return p.queue.Len() > 0 }
 
 // Len returns the number of queued sources.
-func (p *Poller) Len() int { return len(p.queue) }
+func (p *Poller) Len() int { return p.queue.Len() }

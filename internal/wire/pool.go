@@ -7,10 +7,16 @@ import (
 
 // Buffer pool: power-of-two size classes from 64 B to 512 KiB, covering
 // everything from a bare ACK segment to the largest pooled message
-// buffer (the paper's 300 KiB farm tasks). The pools are sync.Pool so
-// independent simulation kernels running concurrently (the parallel
-// sweep runner) can share them safely; within one kernel all calls are
-// serialized by the cooperative scheduler anyway.
+// buffer (the paper's 300 KiB farm tasks). This is the one pool shared by
+// independent simulation kernels running concurrently (the parallel sweep
+// runner), so it is built on sync.Pool; every other free list in the
+// repository belongs to one kernel and needs no synchronization.
+//
+// A sync.Pool holds interface values, and storing a slice header in one
+// would box it: one allocation per PutBuf. The class pools therefore hold
+// *[]byte boxes, and a second pool recycles the emptied boxes, so a
+// steady-state GetBuf/PutBuf pair allocates nothing while the garbage
+// collector can still drain idle buffers from both pools.
 //
 // Ownership contract: a buffer obtained from GetBuf is owned by the
 // caller until handed off (e.g. as a pooled netsim.Packet payload);
@@ -22,7 +28,10 @@ const (
 	maxPoolShift = 19 // 512 KiB
 )
 
-var bufPools [maxPoolShift + 1]sync.Pool
+var (
+	bufPools [maxPoolShift + 1]sync.Pool // class shift -> *[]byte holding a buffer
+	boxPool  sync.Pool                   // empty *[]byte boxes
+)
 
 // poolShift returns the size class for a buffer of length n, or -1 when
 // n is outside the pooled range.
@@ -45,7 +54,11 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := bufPools[s].Get(); v != nil {
-		return v.([]byte)[:n]
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		boxPool.Put(box)
+		return b[:n]
 	}
 	return make([]byte, n, 1<<s)
 }
@@ -62,7 +75,12 @@ func PutBuf(b []byte) {
 	if s < minPoolShift || s > maxPoolShift {
 		return
 	}
-	bufPools[s].Put(b[:c]) //nolint:staticcheck // slice converted to any; header alloc is far cheaper than the payload
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:c]
+	bufPools[s].Put(box)
 }
 
 // NewPooledWriter returns a Writer whose backing array comes from the
