@@ -236,13 +236,27 @@ func TestSessionKillBudgetExhausted(t *testing.T) {
 
 // TestKillCorpusQuick is a fast slice of the `make chaos` kill corpus:
 // every backend must survive the first five generated AssocKill-only
-// schedules with recovery keeping all invariants intact.
+// schedules with recovery keeping all invariants intact, and replay
+// each one bit for bit. The golden hashes are the `trace` column of
+// `go run ./cmd/chaos -rpi all -seeds 5 -kill -v`; they pin the recovery
+// path (redial, tie-break, replay), which no benchmark workload runs,
+// and on sctp the class stamps that survive an in-place restart.
 func TestKillCorpusQuick(t *testing.T) {
+	golden := map[core.Transport][5]string{
+		core.TCP:          {"97ed31f903e4", "3acd75d0271b", "186e5b96e377", "3b50bbd05ffa", "b0ffbc793e7a"},
+		core.SCTP:         {"7cbe5325dc5f", "c9cb595f2899", "5d6fa7013323", "9a805030e74f", "df2f1b8613cb"},
+		core.SCTPOneToOne: {"4a252c960f3f", "e7cdd9408e6a", "d76aa8df0710", "321d8400e801", "721f25afc2dc"},
+	}
 	for _, tr := range allTransports {
 		for seed := int64(1); seed <= 5; seed++ {
 			spec := Spec{Transport: tr, Seed: seed, AllowKill: true}
-			if res := Run(spec); res.Failed() {
+			res := Run(spec)
+			if res.Failed() {
 				t.Errorf("%v seed %d:\n%s", tr, seed, res)
+				continue
+			}
+			if got, want := res.TraceHash[:12], golden[tr][seed-1]; got != want {
+				t.Errorf("%v seed %d: trace %s, want %s", tr, seed, got, want)
 			}
 		}
 	}

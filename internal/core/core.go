@@ -352,27 +352,32 @@ func (o Options) sctpConfig() sctp.Config {
 	return cfg
 }
 
+// session resolves the session-recovery configuration of every module.
+func (o Options) session() rpi.SessionConfig {
+	return rpi.SessionConfig{RedialBudget: o.RedialBudget, DropReplayEvery: o.DropReplayEvery}
+}
+
 func buildTCP(opts Options, nd *netsim.Node, rank int, env *meshEnv) rpi.RPI {
 	cfg := opts.tcpConfig()
 	st := tcp.NewStack(nd, cfg)
 	return tcprpi.New(st, rank, env.addrs, env.barrier, tcprpi.Options{
-		Cost:            opts.cost(DefaultTCPCost()),
-		TCP:             cfg,
-		RedialBudget:    opts.RedialBudget,
-		DropReplayEvery: opts.DropReplayEvery,
+		Cost:    opts.cost(DefaultTCPCost()),
+		TCP:     cfg,
+		Session: opts.session(),
 	})
 }
 
 func buildSCTP(opts Options, nd *netsim.Node, rank int, env *meshEnv) rpi.RPI {
 	cfg := opts.sctpConfig()
 	st := sctp.NewStack(nd, cfg)
+	if opts.Transport == SCTPSingleStream {
+		cfg.Streams = 1 // the module's socket only; the stack keeps its config
+	}
 	return sctprpi.New(st, rank, env.addrLists, env.barrier, sctprpi.Options{
-		Cost:            opts.cost(DefaultSCTPCost()),
-		SCTP:            cfg,
-		SingleStream:    opts.Transport == SCTPSingleStream,
-		OptionC:         opts.SCTPOptionC,
-		RedialBudget:    opts.RedialBudget,
-		DropReplayEvery: opts.DropReplayEvery,
+		Cost:    opts.cost(DefaultSCTPCost()),
+		SCTP:    cfg,
+		OptionC: opts.SCTPOptionC,
+		Session: opts.session(),
 	})
 }
 
@@ -380,11 +385,10 @@ func buildSCTP1to1(opts Options, nd *netsim.Node, rank int, env *meshEnv) rpi.RP
 	cfg := opts.sctpConfig()
 	st := sctp.NewStack(nd, cfg)
 	return sctp1to1rpi.New(st, rank, env.addrLists, env.barrier, sctp1to1rpi.Options{
-		Cost:            opts.cost(DefaultSCTP1to1Cost()),
-		SCTP:            cfg,
-		OptionC:         opts.SCTPOptionC,
-		RedialBudget:    opts.RedialBudget,
-		DropReplayEvery: opts.DropReplayEvery,
+		Cost:    opts.cost(DefaultSCTP1to1Cost()),
+		SCTP:    cfg,
+		OptionC: opts.SCTPOptionC,
+		Session: opts.session(),
 	})
 }
 

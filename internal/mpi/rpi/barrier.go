@@ -38,7 +38,7 @@ func (b *Barrier) Arrive(p *sim.Proc) {
 // and invoked (in kernel context) when the last party arrives, so a
 // caller parked on a different condition can re-check. The caller must
 // keep servicing its module until the check holds — this is how a
-// process waiting out the MeshInit rendezvous keeps answering a
+// process waiting out the BringUp rendezvous keeps answering a
 // recovering peer's handshake instead of deadlocking it.
 func (b *Barrier) ArriveFunc(wake func()) func() bool {
 	gen := b.gen

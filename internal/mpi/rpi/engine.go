@@ -1,18 +1,15 @@
 package rpi
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Engine is the progression machinery shared by every RPI module, so a
-// module reduces to a transport binding (the paper's §3 thesis). It
-// owns the typed counters, the delivery callback, CostModel charging,
-// the readiness poller, and the canonical Advance loop. Modules embed
-// it, register one poller source per endpoint they own, and supply an
+// Engine is the progression machinery under the connection-management
+// skeleton (Base): the typed counters, the delivery callback, CostModel
+// charging, the readiness poller, and the canonical Advance loop. The
+// skeleton registers one poller source per endpoint and supplies an
 // onEvent handler that pumps exactly the endpoint a readiness edge
 // names — the proactor replacement for the old scan-every-peer pump.
 type Engine struct {
@@ -179,7 +176,7 @@ func (e *Engine) Drive(p *sim.Proc, block bool, nfds int,
 
 // DriveUntil is Drive with an external completion condition instead of
 // a progress requirement: it pumps until stop() holds (or the module
-// fails terminally), parking between events. MeshInit's final
+// fails terminally), parking between events. BringUp's final
 // rendezvous runs on it so a process waiting for slower peers keeps
 // serving inbound traffic — a peer recovering from a session kill
 // during bring-up needs its redial handshake answered even by ranks
@@ -198,40 +195,4 @@ func (e *Engine) DriveUntil(p *sim.Proc, nfds int, stop func() bool,
 		e.cond.Wait(p)
 	}
 	return e.err
-}
-
-// MeshInit runs the connection bring-up shared by all modules: a
-// rendezvous so every listener exists before anyone connects, a dial
-// to every higher rank announcing ourselves with a hello envelope
-// (lower ranks initiate, avoiding handshake collision), the module's
-// accept step for the remaining peers, and a final rendezvous so no
-// MPI traffic precedes full connectivity — the paper's §3.4.3 MPI_Init
-// fix.
-//
-// The final rendezvous must not park the process dead: a session kill
-// during bring-up forces one rank back into recovery, and its redial
-// handshake needs the surviving side to keep pumping. wake is the
-// module's Notify hook (invoked when the last party arrives) and wait
-// drives the module until the passed check holds, typically via
-// Engine.DriveUntil with the module's event handler.
-func MeshInit(p *sim.Proc, b *Barrier, rank, size int,
-	dial func(peer int, hello Envelope) error,
-	accept func() error,
-	wake func(),
-	wait func(done func() bool) error) error {
-	b.Arrive(p)
-	hello := Envelope{Kind: KindHello, Rank: int32(rank)}
-	for j := rank + 1; j < size; j++ {
-		if err := dial(j, hello); err != nil {
-			return fmt.Errorf("rpi: rank %d dial %d: %w", rank, j, err)
-		}
-	}
-	if err := accept(); err != nil {
-		return err
-	}
-	if wait == nil {
-		b.Arrive(p)
-		return nil
-	}
-	return wait(b.ArriveFunc(wake))
 }

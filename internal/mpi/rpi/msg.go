@@ -34,12 +34,9 @@ func StreamFor(streams int, context, tag int32) uint16 {
 }
 
 // DeriveBodyChunk picks the middleware chunk size for messages larger
-// than the transport send buffer: explicit if positive, otherwise a
-// quarter of the send buffer clamped to [4 KiB, 64 KiB].
-func DeriveBodyChunk(explicit, sndBuf int) int {
-	if explicit > 0 {
-		return explicit
-	}
+// than the transport send buffer: a quarter of the send buffer clamped
+// to [4 KiB, 64 KiB].
+func DeriveBodyChunk(sndBuf int) int {
 	c := sndBuf / 4
 	if c > 64<<10 {
 		c = 64 << 10

@@ -101,8 +101,7 @@ func TestStreamForMatchesOneToMany(t *testing.T) {
 			}
 		}
 	}
-	single := &Module{streams: 10}
-	single.opts.SingleStream = true
+	single := &Module{streams: 1}
 	if single.StreamFor(1, 2) != 0 {
 		t.Fatal("single-stream mode must pin to stream 0")
 	}

@@ -104,7 +104,8 @@ func TestTagsSpreadAcrossStreams(t *testing.T) {
 }
 
 func TestLongMessageChunkingCounters(t *testing.T) {
-	opts := Options{BodyChunk: 16 << 10}
+	// A 64 KiB send buffer derives 16 KiB middleware chunks.
+	opts := Options{SCTP: sctp.Config{SndBuf: 64 << 10}}
 	modules := world(t, 2, netsim.DefaultLinkParams(), opts,
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			if comm.Rank() == 0 {
@@ -166,7 +167,7 @@ func TestOptionBQueueing(t *testing.T) {
 }
 
 func TestSingleStreamModeCounters(t *testing.T) {
-	modules := world(t, 2, netsim.DefaultLinkParams(), Options{SingleStream: true},
+	modules := world(t, 2, netsim.DefaultLinkParams(), Options{SCTP: sctp.Config{Streams: 1}},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			if comm.Rank() == 0 {
 				for tag := 0; tag < 5; tag++ {

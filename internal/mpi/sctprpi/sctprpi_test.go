@@ -5,10 +5,13 @@ import (
 	"testing/quick"
 )
 
+// moduleWithStreams builds a module over a pool of n streams; single is
+// the Figure 12 ablation, a pool of one.
 func moduleWithStreams(n int, single bool) *Module {
-	m := &Module{streams: n}
-	m.opts.SingleStream = single
-	return m
+	if single {
+		n = 1
+	}
+	return &Module{streams: n}
 }
 
 func TestStreamForDeterministic(t *testing.T) {

@@ -174,26 +174,6 @@ func (c *Conn) TryRecvMsg() (*Message, error) {
 // Socket.ReleaseMsg).
 func (c *Conn) ReleaseMsg(m *Message) { c.sock.ReleaseMsg(m) }
 
-// Readable reports whether a TryRecvMsg would return something (a
-// message or event for this association, or a terminal socket state).
-func (c *Conn) Readable() bool {
-	if c.sock.closed {
-		return true
-	}
-	for i := 0; i < c.sock.rq.Len(); i++ {
-		if c.sock.rq.At(i).Assoc == c.assoc {
-			return true
-		}
-	}
-	return false
-}
-
-// Writable reports whether the association can accept outbound data.
-func (c *Conn) Writable() bool {
-	a := c.sock.byID[c.assoc]
-	return a != nil && a.Established() && a.SndBufAvailable() > 0
-}
-
 // SetNotify registers fn for this association's events. Accepted Conns
 // share the listening socket, so the registration is per-association
 // (Socket.SetAssocNotify): each Conn gets exactly its own edges, and

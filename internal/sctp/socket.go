@@ -305,21 +305,6 @@ func (sk *Socket) ReleaseMsg(m *Message) {
 	sk.stack.freeMsgs.Put(m)
 }
 
-// Readable reports whether TryRecvMsg would return something.
-func (sk *Socket) Readable() bool { return sk.rq.Len() > 0 || sk.closed }
-
-// Writable reports whether at least one established association could
-// accept outbound data right now.
-func (sk *Socket) Writable() bool {
-	for _, id := range sk.Assocs() {
-		a := sk.byID[id]
-		if a.Established() && a.SndBufAvailable() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // SendMsg blocks until the message is accepted into the association
 // send buffer.
 func (sk *Socket) SendMsg(p *sim.Proc, id AssocID, stream uint16, ppid uint32, data []byte) error {

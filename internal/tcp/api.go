@@ -108,28 +108,6 @@ func (c *Conn) TryWrite(b []byte) (int, error) {
 	return 0, ErrWouldBlock
 }
 
-// Readable reports whether a TryRead would return data or a terminal
-// condition.
-func (c *Conn) Readable() bool {
-	return c.rb.readable() > 0 || c.remoteFin || c.err != nil || c.state == stateDone
-}
-
-// ReadableBytes returns the number of buffered in-order bytes.
-func (c *Conn) ReadableBytes() int { return c.rb.readable() }
-
-// Writable reports whether the send buffer has room.
-func (c *Conn) Writable() bool {
-	return c.state == stateEstablished && !c.finQueued && c.sb.space() > 0
-}
-
-// WritableBytes returns the free space in the send buffer.
-func (c *Conn) WritableBytes() int {
-	if c.state != stateEstablished || c.finQueued {
-		return 0
-	}
-	return c.sb.space()
-}
-
 // Close gracefully closes the sending direction (like shutdown(SHUT_WR))
 // and lets reading continue until the peer closes. It is idempotent.
 func (c *Conn) Close() {

@@ -69,21 +69,13 @@ func Wrap(sentinel error, msg string) error {
 }
 
 // Endpoint is the nonblocking contract every transport endpoint
-// satisfies and the RPI engine relies on: readiness probes, an event
-// hook that fires (in kernel context) whenever readiness may have
-// changed, and teardown. The data-moving Try* calls stay
-// transport-specific — byte-oriented (TryRead/TryWrite) on TCP
-// connections, message-oriented (TryRecvMsg/TrySendMsg) on SCTP
-// sockets — and are bound into the engine as function values.
+// satisfies and the RPI engine relies on: an event hook that fires (in
+// kernel context) whenever readiness may have changed, and teardown.
+// The data-moving Try* calls stay transport-specific — byte-oriented
+// (TryRead/TryWrite) on TCP connections, message-oriented
+// (TryRecvMsg/TrySendMsg) on SCTP sockets — and belong to each RPI
+// module's transport binding.
 type Endpoint interface {
-	// Readable reports whether a Try-read would return data or a
-	// terminal condition (rather than ErrWouldBlock).
-	Readable() bool
-
-	// Writable reports whether the endpoint can accept at least some
-	// outbound data right now.
-	Writable() bool
-
 	// SetNotify registers fn to be invoked whenever the endpoint's
 	// readiness changes, with the edge that changed (readable,
 	// writable, closed, error). fn runs in kernel context and must not
@@ -116,22 +108,4 @@ type ByteStream interface {
 
 	// TryRead moves up to len(b) in-order bytes into b.
 	TryRead(b []byte) (int, error)
-}
-
-// Redialer is the optional recovery capability on the Endpoint
-// contract: an endpoint whose session can be re-established after
-// abortive death. Per-peer RPI endpoints (a TCP connection, an SCTP
-// one-to-one connection) satisfy it by dialing a replacement session;
-// the one-to-many SCTP socket satisfies it with an RFC 4960 §5.2
-// association restart, which reuses the same socket. A Redial attempt
-// may block in process context (the peer's handshake runs in kernel
-// context); it returns the replacement endpoint, or an error when the
-// attempt failed (callers apply backoff and a bounded retry budget).
-type Redialer interface {
-	Endpoint
-
-	// Redial attempts to establish a replacement session with the same
-	// peer. On success the returned Endpoint is the new session (it may
-	// be the receiver itself when the transport restarts in place).
-	Redial() (Endpoint, error)
 }

@@ -52,11 +52,8 @@ echo "allocation pins + wire race took $(( $(date +%s) - pins_start ))s"
 echo "== go test -race (sweep runner) =="
 go test -race ./internal/bench/...
 
-echo "== go test -race (recovery conformance) =="
-go test -race -run 'TestConformance' ./internal/mpi/rpi/
-
-echo "== go test -race (readiness engine) =="
-go test -race -run 'TestDrive|TestEventCost|TestConformanceReadiness' ./internal/mpi/rpi/
+echo "== go test -race (recovery conformance + readiness engine) =="
+go test -race -run 'TestConformance|TestDrive|TestEventCost' ./internal/mpi/rpi/
 
 echo "== rank-scaling bench smoke =="
 go test -run TestRankScalingSubLinear ./internal/bench/
@@ -100,18 +97,8 @@ awk -v c="$cov" 'BEGIN {
 echo "== go test -race (chaos harness) =="
 go test -race ./internal/chaos/...
 
-echo "== chaos corpus =="
-go run ./cmd/chaos -rpi all -seeds 50
-go run ./cmd/chaos -rpi all -seeds 25 -multihome
-go run ./cmd/chaos -rpi all -seeds 25 -kill
-
-echo "== chaos at scale (256-rank fat-tree, one seed per backend) =="
-go run ./cmd/chaos -rpi all -seeds 1 -procs 256 -topo fattree -rounds 6
-
-echo "== chaos mid-broadcast kills (256-rank fat-tree multicast, fallback per backend) =="
-go run ./cmd/chaos -rpi sctp -seed 1 -events 6 -horizon 50ms -kill -procs 256 -topo fattree -collective bcast -rounds 3 -msgsize 65536
-go run ./cmd/chaos -rpi sctp1to1 -seed 8 -events 6 -horizon 50ms -kill -procs 256 -topo fattree -collective bcast -rounds 3 -msgsize 65536
-go run ./cmd/chaos -rpi tcp -seed 3 -events 6 -horizon 50ms -kill -procs 256 -topo fattree -collective bcast -rounds 3 -msgsize 65536
+echo "== chaos corpus (make chaos: corpora, 256-rank fat-tree, mid-broadcast kills) =="
+make chaos
 
 echo "== 1024-rank scale smoke (fat-tree allreduce) =="
 SCALE_SMOKE=1 go test -run TestScaleSmoke1024 -timeout 10m ./internal/bench/
