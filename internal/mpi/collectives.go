@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/mpi/rpi"
+	"repro/internal/wire"
 )
 
 // Internal collective tags. Collectives run on the communicator's
@@ -59,6 +60,12 @@ func (c *Comm) AlgValue() Alg { return c.alg }
 // Op folds src into acc (acc op= src). Implementations must be
 // element-wise over the encoded representation.
 type Op func(acc, src []byte)
+
+// Collective scratch buffers come from the wire pool and go back only
+// once every receive into them has completed. After a failed crecv the
+// receive may still be posted, and the pool is shared by kernels running
+// concurrently, so a late delivery could write into a buffer another
+// kernel owns; on error paths the scratch is left to the GC instead.
 
 // csend/crecv are point-to-point on the collective context.
 func (c *Comm) csend(dest, tag int, data []byte) error {
@@ -189,10 +196,11 @@ func (c *Comm) Reduce(root int, data []byte, op Op) error {
 		return c.naiveReduce(root, data, op)
 	}
 	rel := (c.Rank() - root + n) % n
-	tmp := make([]byte, len(data))
+	tmp := wire.GetBuf(len(data))
 	for k := 1; k < n; k <<= 1 {
 		if rel&k != 0 {
 			// Send partial to the sibling and leave.
+			wire.PutBuf(tmp)
 			dst := ((rel ^ k) + root) % n
 			return c.csend(dst, tagReduce, data)
 		}
@@ -205,6 +213,7 @@ func (c *Comm) Reduce(root int, data []byte, op Op) error {
 			op(data, tmp)
 		}
 	}
+	wire.PutBuf(tmp)
 	return nil
 }
 
@@ -274,42 +283,38 @@ func (c *Comm) rdAllreduce(data []byte, op Op) error {
 		pof2 *= 2
 	}
 	rem := n - pof2
-	tmp := make([]byte, len(data))
-	newrank := -1
-	switch {
-	case me < 2*rem && me%2 == 0:
-		// Donate to the odd neighbor and sit out the butterfly.
+	if me < 2*rem && me%2 == 0 {
+		// Donate to the odd neighbor, sit out the butterfly and take
+		// the result back.
 		if err := c.csend(me+1, tagAllreduce, data); err != nil {
 			return err
 		}
-	case me < 2*rem:
+		_, err := c.crecv(me+1, tagAllreduce, data)
+		return err
+	}
+	tmp := wire.GetBuf(len(data))
+	newrank := me - rem
+	if me < 2*rem {
 		if _, err := c.crecv(me-1, tagAllreduce, tmp); err != nil {
 			return err
 		}
 		op(data, tmp)
 		newrank = me / 2
-	default:
-		newrank = me - rem
 	}
-	if newrank >= 0 {
-		for mask := 1; mask < pof2; mask <<= 1 {
-			np := newrank ^ mask
-			peer := np + rem
-			if np < rem {
-				peer = np*2 + 1
-			}
-			if err := c.exchange(peer, data, tmp); err != nil {
-				return err
-			}
-			op(data, tmp)
+	for mask := 1; mask < pof2; mask <<= 1 {
+		np := newrank ^ mask
+		peer := np + rem
+		if np < rem {
+			peer = np*2 + 1
 		}
-	}
-	// Return the result to the ranks that folded out.
-	if me < 2*rem {
-		if me%2 == 0 {
-			_, err := c.crecv(me+1, tagAllreduce, data)
+		if err := c.exchange(peer, data, tmp); err != nil {
 			return err
 		}
+		op(data, tmp)
+	}
+	wire.PutBuf(tmp)
+	// Return the result to the donor that folded into us.
+	if me < 2*rem {
 		return c.csend(me-1, tagAllreduce, data)
 	}
 	return nil
@@ -334,7 +339,7 @@ func (c *Comm) ringAllreduce(data []byte, op Op) error {
 			maxEnd = hi - lo
 		}
 	}
-	tmp := make([]byte, maxEnd)
+	tmp := wire.GetBuf(maxEnd)
 	// Reduce-scatter: after step s, rank me holds the partial fold of
 	// s+1 contributions in chunk (me-s-1+n)%n; after n-1 steps it owns
 	// the fully reduced chunk (me+1)%n.
@@ -355,6 +360,7 @@ func (c *Comm) ringAllreduce(data []byte, op Op) error {
 		}
 		op(data[rlo:rhi], tmp[:rhi-rlo])
 	}
+	wire.PutBuf(tmp)
 	// Allgather: circulate the reduced chunks around the ring.
 	for s := 0; s < n-1; s++ {
 		sc := (me + 1 - s + 2*n) % n

@@ -10,10 +10,12 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/freelist"
 	"repro/internal/mpi/rpi"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Wildcards for Recv/Probe.
@@ -85,7 +87,9 @@ func (r *Request) onSent() func() {
 	return r.sentFn
 }
 
-// inboxMsg is a buffered unexpected message.
+// inboxMsg is a buffered unexpected message. A non-empty body is a
+// wire-pool copy that the matching receive returns to the pool once it
+// has copied it out; messages never matched are left to the GC.
 type inboxMsg struct {
 	env  rpi.Envelope
 	body []byte
@@ -273,9 +277,12 @@ func (pr *Process) irecv(srcWorld int, tag int, ctx int32, buf []byte) *Request 
 		if pr.matches(req, m.env) {
 			env := m.env
 			body := m.body
-			pr.unexpected = append(pr.unexpected[:i], pr.unexpected[i+1:]...)
+			pr.unexpected = slices.Delete(pr.unexpected, i, i+1)
 			pr.Stats.MatchedFromQueue++
 			pr.arrived(req, env, body)
+			// arrived has copied the body out (a rendezvous request
+			// carries none), so the unexpected copy is dead.
+			wire.PutBuf(body)
 			return req
 		}
 	}
@@ -337,7 +344,11 @@ func (pr *Process) deliver(env rpi.Envelope, body []byte) {
 			}
 		}
 		// Unexpected: buffer a copy (the transport may reuse body).
-		cp := append([]byte(nil), body...)
+		var cp []byte
+		if len(body) > 0 {
+			cp = wire.GetBuf(len(body))
+			copy(cp, body)
+		}
 		pr.unexpected = append(pr.unexpected, inboxMsg{env: env, body: cp})
 		pr.Stats.UnexpectedMsgs++
 		pr.Stats.UnexpectedBytes += int64(len(cp))

@@ -6,20 +6,36 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/mpi/rpi"
 	"repro/internal/sim"
+	"repro/internal/testenv"
+	"repro/internal/wire"
 )
 
 // loopRPI is a transport-free RPI: messages hop between processes via
 // kernel events with a fixed delay. It isolates the middleware's
 // matching, protocol and progression logic from any real transport.
+// Every message takes the same delay, so arrivals come in send order:
+// each module keeps its in-flight messages and its due send completions
+// in FIFOs popped by callbacks bound once, which keeps the fabric itself
+// allocation-free in steady state.
 type loopRPI struct {
-	k       *sim.Kernel
-	rank    int
-	fabric  *loopFabric
-	deliver rpi.Delivery
-	cond    *sim.Cond
-	sent    int64
+	k        *sim.Kernel
+	rank     int
+	fabric   *loopFabric
+	deliver  rpi.Delivery
+	cond     *sim.Cond
+	sent     int64
+	inflight fifo.Queue[loopMsg]
+	queued   fifo.Queue[func()]
+	arriveFn func()
+	doneFn   func()
+}
+
+type loopMsg struct {
+	env  rpi.Envelope
+	body []byte
 }
 
 type loopFabric struct {
@@ -30,9 +46,9 @@ type loopFabric struct {
 func newLoopFabric(k *sim.Kernel, n int, delay time.Duration) *loopFabric {
 	f := &loopFabric{delay: delay}
 	for i := 0; i < n; i++ {
-		f.modules = append(f.modules, &loopRPI{
-			k: k, rank: i, fabric: f, cond: sim.NewCond(k),
-		})
+		l := &loopRPI{k: k, rank: i, fabric: f, cond: sim.NewCond(k)}
+		l.arriveFn, l.doneFn = l.arrive, l.sendDone
+		f.modules = append(f.modules, l)
 	}
 	return f
 }
@@ -44,18 +60,32 @@ func (l *loopRPI) Counters() rpi.Counters     { return rpi.Counters{"sent": l.se
 
 func (l *loopRPI) Send(dest int, env rpi.Envelope, body []byte, onQueued func()) {
 	l.sent++
-	cp := append([]byte(nil), body...)
-	target := l.fabric.modules[dest]
-	l.k.After(l.fabric.delay, func() {
-		target.deliver(env, cp)
-		target.cond.Broadcast()
-	})
-	if onQueued != nil {
-		l.k.After(0, func() {
-			onQueued()
-			l.cond.Broadcast()
-		})
+	var cp []byte
+	if len(body) > 0 {
+		cp = wire.GetBuf(len(body))
+		copy(cp, body)
 	}
+	target := l.fabric.modules[dest]
+	target.inflight.Push(loopMsg{env, cp})
+	l.k.After(l.fabric.delay, target.arriveFn)
+	if onQueued != nil {
+		l.queued.Push(onQueued)
+		l.k.After(0, l.doneFn)
+	}
+}
+
+// arrive delivers the oldest in-flight message. Delivery copies the body
+// out, so the copy goes back to the pool as rpi.Engine.Complete does.
+func (l *loopRPI) arrive() {
+	m := l.inflight.Pop()
+	l.deliver(m.env, m.body)
+	wire.PutBuf(m.body)
+	l.cond.Broadcast()
+}
+
+func (l *loopRPI) sendDone() {
+	l.queued.Pop()()
+	l.cond.Broadcast()
 }
 
 func (l *loopRPI) Advance(p *sim.Proc, block bool) error {
@@ -386,4 +416,49 @@ func TestFinalizeTwice(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestUnexpectedMatchAllocFree pins the unexpected-message path: a body
+// that lands before its receive is posted is buffered in a wire-pool
+// copy, and the receive that matches it from the queue returns the copy
+// to the pool, so once warm the round allocates nothing.
+func TestUnexpectedMatchAllocFree(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	for _, size := range []int{64, 4 << 10} {
+		run(t, 1, func(pr *Process, comm *Comm) error {
+			msg, buf := bytes.Repeat([]byte{5}, size), make([]byte, size)
+			var failed error
+			round := func() {
+				// Send to self, then sleep past the fabric delay: the
+				// body is queued as unexpected before Recv is posted.
+				if err := comm.Send(0, 1, msg); err != nil && failed == nil {
+					failed = err
+				}
+				pr.P.Sleep(time.Millisecond)
+				if _, err := comm.Recv(0, 1, buf); err != nil && failed == nil {
+					failed = err
+				}
+			}
+			for i := 0; i < 100; i++ {
+				round()
+			}
+			matched := pr.Stats.MatchedFromQueue
+			allocs := testing.AllocsPerRun(1000, round)
+			if failed != nil {
+				return failed
+			}
+			if got := pr.Stats.MatchedFromQueue - matched; got != 1001 {
+				return fmt.Errorf("%d of 1001 receives matched from the unexpected queue", got)
+			}
+			if !bytes.Equal(buf, msg) {
+				return fmt.Errorf("body mismatch")
+			}
+			if allocs != 0 {
+				return fmt.Errorf("%d B: unexpected send+match allocates %.2f times per round, want 0", size, allocs)
+			}
+			return nil
+		})
+	}
 }

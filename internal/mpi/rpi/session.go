@@ -156,7 +156,7 @@ type Session struct {
 	retain  []Retained
 
 	recvCum  uint64          // highest in-order delivered SSeq from the peer
-	recvSeen map[uint64]bool // delivered SSeqs above the floor
+	recvSeen map[uint64]bool // delivered SSeqs above the floor; nil until one arrives out of order
 
 	attempts     int
 	backoff      time.Duration
@@ -184,7 +184,7 @@ type Sessions struct {
 func NewSessions(e *Engine, k *sim.Kernel, size int, cfg SessionConfig) *Sessions {
 	ss := &Sessions{e: e, k: k, cfg: cfg, sess: make([]*Session, size)}
 	for i := range ss.sess {
-		ss.sess[i] = &Session{Peer: i, nextSeq: 1, recvSeen: make(map[uint64]bool)}
+		ss.sess[i] = &Session{Peer: i, nextSeq: 1}
 	}
 	return ss
 }
@@ -250,10 +250,19 @@ func (ss *Sessions) Accept(peer int, env *Envelope) bool {
 		ss.e.ctrs.Add("dups_suppressed", 1)
 		return false
 	}
-	s.recvSeen[seq] = true
-	for s.recvSeen[s.recvCum+1] {
-		delete(s.recvSeen, s.recvCum+1)
+	if seq == s.recvCum+1 {
+		// In order: advance the floor, then absorb any successors that
+		// arrived early.
 		s.recvCum++
+		for len(s.recvSeen) > 0 && s.recvSeen[s.recvCum+1] {
+			delete(s.recvSeen, s.recvCum+1)
+			s.recvCum++
+		}
+	} else {
+		if s.recvSeen == nil {
+			s.recvSeen = make(map[uint64]bool)
+		}
+		s.recvSeen[seq] = true
 	}
 	env.SSeq, env.SAck, env.SEpoch = 0, 0, 0
 	return true

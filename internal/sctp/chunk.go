@@ -220,13 +220,13 @@ func encodeCookieEcho(w *wire.Writer, flags uint8, cookie []byte) {
 }
 
 // decodeChunk decodes one chunk into c, which it fully resets first.
-// The Gaps and DupTSNs backing arrays survive the reset so steady-state
-// SACK decoding on a reused packet is allocation-free; every other slice
-// field starts nil because receive-side code is allowed to retain
-// Addrs (and copies Cookie/Reason).
+// The Gaps and DupTSNs backing arrays survive every reset, whatever the
+// chunk type and gap count, so steady-state SACK decoding on a reused
+// packet is allocation-free; every other slice field starts nil because
+// receive-side code is allowed to retain Addrs (and copies
+// Cookie/Reason).
 func decodeChunk(r *wire.Reader, c *chunk) error {
-	gaps, dups := c.Gaps[:0], c.DupTSNs[:0]
-	*c = chunk{}
+	*c = chunk{Gaps: c.Gaps[:0], DupTSNs: c.DupTSNs[:0]}
 	c.Type = r.U8()
 	c.Flags = r.U8()
 	length := int(r.U16())
@@ -273,17 +273,11 @@ func decodeChunk(r *wire.Reader, c *chunk) error {
 		c.ARwnd = br.U32()
 		ng := int(br.U16())
 		nd := int(br.U16())
-		if ng > 0 {
-			c.Gaps = gaps
-			for i := 0; i < ng; i++ {
-				c.Gaps = append(c.Gaps, gapBlock{br.U16(), br.U16()})
-			}
+		for i := 0; i < ng; i++ {
+			c.Gaps = append(c.Gaps, gapBlock{br.U16(), br.U16()})
 		}
-		if nd > 0 {
-			c.DupTSNs = dups
-			for i := 0; i < nd; i++ {
-				c.DupTSNs = append(c.DupTSNs, seqnum.V(br.U32()))
-			}
+		for i := 0; i < nd; i++ {
+			c.DupTSNs = append(c.DupTSNs, seqnum.V(br.U32()))
 		}
 	case ctHeartbeat, ctHeartbeatAck:
 		c.HBPath = netsim.Addr(br.U32())
@@ -317,9 +311,7 @@ type packet struct {
 func (p *packet) reset() {
 	for i := range p.slab {
 		c := &p.slab[i]
-		gaps, dups := c.Gaps[:0], c.DupTSNs[:0]
-		*c = chunk{}
-		c.Gaps, c.DupTSNs = gaps, dups
+		*c = chunk{Gaps: c.Gaps[:0], DupTSNs: c.DupTSNs[:0]}
 	}
 	p.Chunks = p.Chunks[:0]
 }

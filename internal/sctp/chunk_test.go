@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/seqnum"
+	"repro/internal/wire"
 )
 
 func TestDataChunkRoundTrip(t *testing.T) {
@@ -233,5 +234,41 @@ func TestRangeInsertMerge(t *testing.T) {
 	}
 	if !a.inRanges(104) || a.inRanges(106) || a.inRanges(101) {
 		t.Fatal("inRanges wrong")
+	}
+}
+
+// TestSackDecodeAllocFree decodes a SACK with gap blocks and duplicate
+// TSNs, a gapless SACK and a DATA chunk in turn into one chunk, the way
+// a reused packet slab does: Gaps and DupTSNs survive every reset, so
+// the cycle allocates nothing.
+func TestSackDecodeAllocFree(t *testing.T) {
+	encode := func(c *chunk) []byte {
+		w := wire.NewWriter(c.wireSize())
+		c.encode(w)
+		return w.B
+	}
+	gapped := encode(&chunk{Type: ctSack, CumTSNAck: 1000, ARwnd: 65536,
+		Gaps: []gapBlock{{2, 4}, {7, 9}, {20, 20}}, DupTSNs: []seqnum.V{990, 991}})
+	gapless := encode(&chunk{Type: ctSack, CumTSNAck: 1000, ARwnd: 65536})
+	data := encode(&chunk{Type: ctData, Flags: flagBeginFragment | flagEndFragment,
+		TSN: 1001, Stream: 3, SSN: 7, PPID: 42, Data: make([]byte, 1024)})
+	var c chunk
+	cycle := func() {
+		for _, b := range [][]byte{gapped, gapless, data} {
+			if err := decodeChunk(wire.NewReader(b), &c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("decoding gapped SACK, gapless SACK and DATA allocates %.1f times per cycle, want 0", n)
+	}
+	if err := decodeChunk(wire.NewReader(gapped), &c); err != nil ||
+		len(c.Gaps) != 3 || c.Gaps[1] != (gapBlock{7, 9}) || len(c.DupTSNs) != 2 {
+		t.Fatalf("gapped SACK decoded as gaps %v dups %v (err %v)", c.Gaps, c.DupTSNs, err)
+	}
+	if err := decodeChunk(wire.NewReader(gapless), &c); err != nil || len(c.Gaps) != 0 || len(c.DupTSNs) != 0 {
+		t.Fatalf("gapless SACK decoded as gaps %v dups %v (err %v)", c.Gaps, c.DupTSNs, err)
 	}
 }

@@ -279,31 +279,96 @@ type event struct {
 	k     *Kernel
 }
 
+// before is the schedule's total order: by time, then by sequence.
+func (a *event) before(b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap in (when, seq) order that keeps each
+// event's index equal to its position, so remove is O(log n). The
+// comparisons are inlined; (when, seq) is a total order, so the pop
+// sequence is the same as any other correct heap's.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// pop removes and returns the minimum. The heap must be non-empty.
+func (h *eventHeap) pop() *event {
+	s := *h
+	ev := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if n > 0 {
+		s[0] = last
+		h.down(0)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// remove unlinks the event at position i: the last event fills the
+// hole and sifts down, then up.
+func (h *eventHeap) remove(i int) {
+	s := *h
+	ev := s[i]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if i < n {
+		s[i] = last
+		h.down(i)
+		h.up(last.index)
+	}
+	ev.index = -1
+}
+
+// up moves the event at i toward the root until its parent precedes it.
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := h[p]
+		if !ev.before(parent) {
+			break
+		}
+		h[i] = parent
+		parent.index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down moves the event at i toward the leaves until it precedes both
+// children.
+func (h eventHeap) down(i int) {
+	ev := h[i]
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		child := h[c]
+		if !child.before(ev) {
+			break
+		}
+		h[i] = child
+		child.index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // The schedule is a two-level hashed timer wheel with a heap on either
 // side of it. Near-future events — RTOs, delayed SACKs, link delivery,
@@ -84,7 +81,7 @@ func (w *timerWheel) insert(ev *event) {
 	switch {
 	case tick <= w.cur:
 		ev.where = locReady
-		heap.Push(&w.ready, ev)
+		w.ready.push(ev)
 	case tick>>wheelBits == w.cur>>wheelBits:
 		s := tick & wheelMask
 		ev.where = locL0
@@ -101,7 +98,7 @@ func (w *timerWheel) insert(ev *event) {
 		w.n1++
 	default:
 		ev.where = locFar
-		heap.Push(&w.far, ev)
+		w.far.push(ev)
 	}
 }
 
@@ -114,7 +111,7 @@ func (w *timerWheel) insert(ev *event) {
 func (w *timerWheel) pop() *event {
 	for {
 		if len(w.ready) > 0 {
-			ev := heap.Pop(&w.ready).(*event)
+			ev := w.ready.pop()
 			ev.where = locNone
 			return ev
 		}
@@ -159,7 +156,7 @@ func (w *timerWheel) pop() *event {
 			epoch := minTick >> (2 * wheelBits)
 			w.cur = minTick
 			for len(w.far) > 0 && tickOf(w.far[0].when)>>(2*wheelBits) == epoch {
-				ev := heap.Pop(&w.far).(*event)
+				ev := w.far.pop()
 				w.insert(ev)
 			}
 			continue
@@ -186,13 +183,13 @@ func (w *timerWheel) flushSlot(slot *[]*event, n *int) {
 
 // remove unlinks a stopped timer's event from whichever container holds
 // it. Wheel slots are unordered, so removal is a swap with the last
-// element; heaps use container/heap.Remove via the tracked index.
+// element; heaps remove by the tracked index.
 func (w *timerWheel) remove(ev *event) {
 	switch ev.where {
 	case locReady:
-		heap.Remove(&w.ready, ev.index)
+		w.ready.remove(ev.index)
 	case locFar:
-		heap.Remove(&w.far, ev.index)
+		w.far.remove(ev.index)
 	case locL0:
 		removeSlot(&w.l0[ev.slot], ev)
 		w.n0--

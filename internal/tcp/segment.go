@@ -81,11 +81,11 @@ func decodeSegment(b []byte) (*segment, error) {
 	return s, nil
 }
 
-// decode parses b into s, reusing the array of s.Sacks. Data aliases b.
+// decode parses b into s, reusing the array of s.Sacks whether or not
+// the segment carries SACK blocks. Data aliases b.
 func (s *segment) decode(b []byte) error {
 	r := wire.NewReader(b)
-	sacks := s.Sacks[:0]
-	*s = segment{}
+	*s = segment{Sacks: s.Sacks[:0]}
 	s.SrcPort = r.U16()
 	s.DstPort = r.U16()
 	s.Seq = seqnum.V(r.U32())
@@ -98,10 +98,7 @@ func (s *segment) decode(b []byte) error {
 		return fmt.Errorf("tcp: %d SACK blocks exceeds option space", nsack)
 	}
 	for i := 0; i < nsack; i++ {
-		sacks = append(sacks, sackBlock{seqnum.V(r.U32()), seqnum.V(r.U32())})
-	}
-	if nsack > 0 {
-		s.Sacks = sacks
+		s.Sacks = append(s.Sacks, sackBlock{seqnum.V(r.U32()), seqnum.V(r.U32())})
 	}
 	s.Data = r.Rest()
 	return r.Err()

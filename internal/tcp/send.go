@@ -308,8 +308,9 @@ func (c *Conn) onRTO() {
 	c.inRTORec = true
 	c.recover = c.sndNxt
 	c.highRtx = c.sndUna
-	// Conservatively forget SACK information (the reneging rule).
-	c.sacked = nil
+	// Conservatively forget SACK information (the reneging rule),
+	// keeping the scoreboard's array.
+	c.sacked = c.sacked[:0]
 	c.rttActive = false
 	c.probeCwnd()
 	c.retransmitHole(c.sndUna)

@@ -40,12 +40,15 @@ go test ./...
 
 echo "== allocation pins (GOMAXPROCS=1) + shared wire pool (-race) =="
 # The steady-state message path must not allocate: AllocsPerRun pins on
-# Proc.Sleep, Cond hand-off, wire Get/Put, a mesh Node.Send and a core
-# ping-pong per backend (DESIGN.md §4.1). The wire pool is the one pool
-# shared by concurrent kernels, so its ownership test runs under -race.
+# Proc.Sleep, Cond hand-off, wire Get/Put, a mesh Node.Send, the
+# unexpected-message match, TCP and SCTP SACK decoding, and core
+# ping-pongs (clean and 2% loss) and an Allreduce per backend
+# (DESIGN.md §4.1). The wire pool is the one pool shared by concurrent
+# kernels, so its ownership test runs under -race.
 pins_start=$(date +%s)
 GOMAXPROCS=1 go test -count=1 -run 'AllocFree|AllocsPerMessage|NoAllocSteadyState' \
-	./internal/sim/ ./internal/wire/ ./internal/netsim/ ./internal/core/
+	./internal/sim/ ./internal/wire/ ./internal/netsim/ ./internal/core/ \
+	./internal/mpi/ ./internal/tcp/ ./internal/sctp/
 go test -race -count=10 ./internal/wire/
 echo "allocation pins + wire race took $(( $(date +%s) - pins_start ))s"
 
