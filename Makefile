@@ -31,12 +31,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Writes BENCH_kernel.json and BENCH_sweep.json at the repo root, then
-# prints the Go benchmarks. GOMAXPROCS is recorded inside the JSON.
+# The wall-clock harness: every workload of BENCHMARK.json, end to end
+# and layer by layer (see benchmark/README.md).
 bench:
-	BENCH_ARTIFACTS=1 $(GO) test -run TestWriteBenchArtifacts ./internal/bench/
-	$(GO) test -run xxx -bench=. -benchmem ./internal/bench/...
+	$(GO) run ./benchmark
 
+# Every virtual-time table at -quick scale (cells up to 128 ranks).
 paper:
 	$(GO) run ./cmd/paper -exp all -quick
 

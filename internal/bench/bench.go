@@ -7,9 +7,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
-
-	"repro/internal/core"
 )
 
 // Row is one line of an experiment table.
@@ -24,6 +21,9 @@ type Table struct {
 	Columns []string
 	Rows    []Row
 	Notes   []string
+	// Exact prints every value in full. The virtual-time tables hold
+	// integer nanoseconds and counters, and every digit reproduces.
+	Exact bool
 }
 
 // Format renders the table as aligned text.
@@ -39,7 +39,11 @@ func (t *Table) Format() string {
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-*s", width, r.Label)
 		for _, v := range r.Values {
-			fmt.Fprintf(&b, "%16s", formatValue(v))
+			if t.Exact {
+				fmt.Fprintf(&b, "%16.0f", v)
+			} else {
+				fmt.Fprintf(&b, "%16s", formatValue(v))
+			}
 		}
 		b.WriteByte('\n')
 	}
@@ -62,22 +66,4 @@ func formatValue(v float64) string {
 	default:
 		return fmt.Sprintf("%.4f", v)
 	}
-}
-
-// Seconds converts a virtual duration to float seconds.
-func Seconds(d time.Duration) float64 { return d.Seconds() }
-
-// FormatRPIStats renders a report's per-rank RPI counters, one line per
-// rank with "k=v" pairs in sorted key order, so the same run always
-// prints the same text and two backends' stats line up for comparison.
-func FormatRPIStats(rep *core.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "--- %s RPI counters ---\n", rep.Transport)
-	for rank, c := range rep.RPIStats {
-		if c == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "rank %d: %s\n", rank, c.Format())
-	}
-	return b.String()
 }

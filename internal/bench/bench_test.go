@@ -165,16 +165,29 @@ func TestFarmDeterminism(t *testing.T) {
 }
 
 func TestTableFormat(t *testing.T) {
-	tab := &Table{
-		Title:   "test",
-		Columns: []string{"a", "b"},
-		Rows:    []Row{{Label: "r1", Values: []float64{1.5, 2e7}}},
-		Notes:   []string{"a note"},
-	}
-	out := tab.Format()
-	for _, want := range []string{"test", "r1", "1.50", "2e+07", "a note"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted table missing %q:\n%s", want, out)
+	for _, c := range []struct {
+		tab  *Table
+		want []string
+	}{
+		{&Table{
+			Title:   "test",
+			Columns: []string{"a", "b"},
+			Rows:    []Row{{Label: "r1", Values: []float64{1.5, 2e7}}},
+			Notes:   []string{"a note"},
+		}, []string{"test", "r1", "1.50", "2e+07", "a note"}},
+		// An Exact table keeps every digit of a nanosecond value.
+		{&Table{
+			Title:   "exact",
+			Columns: []string{"ns"},
+			Rows:    []Row{{Label: "r1", Values: []float64{5202652676}}},
+			Exact:   true,
+		}, []string{" 5202652676\n"}},
+	} {
+		out := c.tab.Format()
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("formatted table missing %q:\n%s", want, out)
+			}
 		}
 	}
 }

@@ -95,4 +95,18 @@ func TestParallelSweepIdentical(t *testing.T) {
 		}
 		return sweep.Run()
 	})
+	// The ablation rows share one captured core.Options across their
+	// seeds; a cheap subset covers each run constructor.
+	runBoth("ablations", func() (*Table, error) {
+		var rows []ablation
+		for _, a := range ablations() {
+			switch a.group {
+			case "nagle", "sack delay", "race fix", "cmt":
+				rows = append(rows, a)
+			}
+		}
+		rows = append(rows, ablation{"farm", "small farm", farmRun(
+			core.Options{Transport: core.SCTP, LossRate: 0.01}, FarmConfig{NumTasks: 20, TaskSize: 8 << 10})})
+		return ablationTable(1, rows)
+	})
 }

@@ -211,18 +211,16 @@ func (s *FarmSweep) Run() (*Table, error) {
 	// Each (loss, transport) cell is an independent simulation; run
 	// them on the sweep worker pool and assemble rows in order.
 	nt := len(s.Transports)
-	results := make([]float64, len(s.LossRates)*nt)
-	err := RunCells(len(results), func(i int) error {
+	results, err := collect(len(s.LossRates)*nt, func(i int) (float64, error) {
 		loss, tr := s.LossRates[i/nt], s.Transports[i%nt]
 		opts := s.Opts
 		opts.Transport = tr
 		opts.LossRate = loss
 		r, err := Farm(opts, s.Config)
 		if err != nil {
-			return fmt.Errorf("farm %v loss %.0f%%: %w", tr, loss*100, err)
+			return 0, fmt.Errorf("farm %v loss %.0f%%: %w", tr, loss*100, err)
 		}
-		results[i] = r.RunTime.Seconds()
-		return nil
+		return r.RunTime.Seconds(), nil
 	})
 	if err != nil {
 		return nil, err
@@ -239,50 +237,34 @@ func (s *FarmSweep) Run() (*Table, error) {
 // Fig10 regenerates Figure 10: farm with Fanout 1, short and long
 // tasks, loss 0/1/2%, TCP vs SCTP.
 func Fig10(seed int64, numTasks int) ([]*Table, error) {
-	return farmFigure(seed, numTasks, 1, "Figure 10")
+	return farmFigure(seed, numTasks, 1, "Figure 10: Bulk Processor Farm", core.SCTP, core.TCP)
 }
 
 // Fig11 regenerates Figure 11: the same farm with Fanout 10.
 func Fig11(seed int64, numTasks int) ([]*Table, error) {
-	return farmFigure(seed, numTasks, 10, "Figure 11")
-}
-
-func farmFigure(seed int64, numTasks, fanout int, name string) ([]*Table, error) {
-	var out []*Table
-	for _, sz := range []struct {
-		label string
-		size  int
-	}{{"short (30K)", 30 << 10}, {"long (300K)", 300 << 10}} {
-		sweep := &FarmSweep{
-			Title:      fmt.Sprintf("%s: Bulk Processor Farm, %s, fanout %d", name, sz.label, fanout),
-			Transports: []core.Transport{core.SCTP, core.TCP},
-			LossRates:  []float64{0, 0.01, 0.02},
-			Config:     FarmConfig{NumTasks: numTasks, TaskSize: sz.size, Fanout: fanout},
-			Opts:       core.Options{Seed: seed},
-		}
-		t, err := sweep.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return farmFigure(seed, numTasks, 10, "Figure 11: Bulk Processor Farm", core.SCTP, core.TCP)
 }
 
 // Fig12 regenerates Figure 12: the head-of-line ablation, SCTP with 10
 // streams versus a single stream, fanout 10.
 func Fig12(seed int64, numTasks int) ([]*Table, error) {
+	return farmFigure(seed, numTasks, 10, "Figure 12: SCTP 10 streams vs 1 stream",
+		core.SCTP, core.SCTPSingleStream)
+}
+
+// farmFigure runs one FarmSweep panel per task size (short and long)
+// over loss 0/1/2%.
+func farmFigure(seed int64, numTasks, fanout int, heading string, trs ...core.Transport) ([]*Table, error) {
 	var out []*Table
 	for _, sz := range []struct {
 		label string
 		size  int
 	}{{"short (30K)", 30 << 10}, {"long (300K)", 300 << 10}} {
 		sweep := &FarmSweep{
-			Title: fmt.Sprintf("Figure 12: SCTP 10 streams vs 1 stream, %s, fanout 10",
-				sz.label),
-			Transports: []core.Transport{core.SCTP, core.SCTPSingleStream},
+			Title:      fmt.Sprintf("%s, %s, fanout %d", heading, sz.label, fanout),
+			Transports: trs,
 			LossRates:  []float64{0, 0.01, 0.02},
-			Config:     FarmConfig{NumTasks: numTasks, TaskSize: sz.size, Fanout: 10},
+			Config:     FarmConfig{NumTasks: numTasks, TaskSize: sz.size, Fanout: fanout},
 			Opts:       core.Options{Seed: seed},
 		}
 		t, err := sweep.Run()

@@ -65,7 +65,7 @@ func TestFig8Generator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full size sweep")
 	}
-	tab, err := Fig8(1, 10)
+	tab, err := Fig8Transports(1, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,10 @@ import (
 // the priority scheduler (small chunks preempt bulk fragments at chunk
 // granularity). Virtual time makes every number exactly reproducible.
 type InterleavingPoint struct {
-	Mode       string `json:"mode"`
-	Samples    int    `json:"samples"`
-	P50NS      int64  `json:"p50_one_way_ns"`
-	P99NS      int64  `json:"p99_one_way_ns"`
-	MaxNS      int64  `json:"max_one_way_ns"`
-	BulkBytes  int    `json:"bulk_bytes"`
-	SmallBytes int    `json:"small_bytes"`
+	Mode  string
+	P50NS int64
+	P99NS int64
+	MaxNS int64
 }
 
 const (
@@ -50,12 +47,7 @@ const (
 // the send buffer, most sits *queued but unsent* — exactly the chunks
 // a FIFO probe must wait behind and a priority scheduler steps over.
 func InterleavingLatency(interleaved bool) (InterleavingPoint, error) {
-	pt := InterleavingPoint{
-		Mode:       "legacy",
-		Samples:    interleavingSamples,
-		BulkBytes:  interleavingBulk,
-		SmallBytes: interleavingSmall,
-	}
+	pt := InterleavingPoint{Mode: "legacy"}
 	if interleaved {
 		pt.Mode = "interleaved"
 	}
@@ -72,7 +64,7 @@ func InterleavingLatency(interleaved bool) (InterleavingPoint, error) {
 	}
 
 	var lats []time.Duration
-	rep, err := core.Run(opts, func(pr *mpi.Process, comm *mpi.Comm) error {
+	_, err := core.Run(opts, func(pr *mpi.Process, comm *mpi.Comm) error {
 		if err := comm.Barrier(); err != nil {
 			return err
 		}
@@ -134,9 +126,6 @@ func InterleavingLatency(interleaved bool) (InterleavingPoint, error) {
 	if err != nil {
 		return pt, fmt.Errorf("interleaving %s: %w", pt.Mode, err)
 	}
-	if err := rep.FirstError(); err != nil {
-		return pt, fmt.Errorf("interleaving %s: %w", pt.Mode, err)
-	}
 	if len(lats) != interleavingSamples {
 		return pt, fmt.Errorf("interleaving %s: %d samples, want %d",
 			pt.Mode, len(lats), interleavingSamples)
@@ -148,15 +137,15 @@ func InterleavingLatency(interleaved bool) (InterleavingPoint, error) {
 	return pt, nil
 }
 
-// InterleavingSweep runs the overlap experiment in both modes.
-func InterleavingSweep() ([]InterleavingPoint, error) {
-	pts := make([]InterleavingPoint, 0, 2)
-	for _, on := range []bool{false, true} {
-		pt, err := InterleavingLatency(on)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
+// InterleavingTable runs the overlap experiment in both modes.
+func InterleavingTable() (*Table, error) {
+	return exactTable(&Table{
+		Title: fmt.Sprintf("Interleaving: %d B probe one-way latency while a %d MiB rendezvous transfer shares the SCTP association (virtual ns, %d samples)",
+			interleavingSmall, interleavingBulk>>20, interleavingSamples),
+		Columns: []string{"p50", "p99", "max"},
+		Notes:   []string{"legacy: DATA chunks, FIFO scheduler; interleaved: RFC 8260 I-DATA, priority scheduler"},
+	}, 2, func(i int) (InterleavingPoint, error) { return InterleavingLatency(i == 1) },
+		func(p InterleavingPoint) Row {
+			return Row{Label: p.Mode, Values: []float64{float64(p.P50NS), float64(p.P99NS), float64(p.MaxNS)}}
+		})
 }

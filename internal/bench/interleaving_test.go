@@ -3,17 +3,33 @@ package bench
 import "testing"
 
 // TestInterleavingLatencyWin pins the headline property of RFC 8260
-// interleaving: with a 1 MiB transfer in flight on the association,
+// interleaving: with a 4 MiB transfer in flight on the association,
 // the p99 one-way latency of 64-byte probes drops at least 5× when
 // I-DATA and the priority scheduler replace FIFO DATA queueing. Both
 // modes run the identical workload at the identical seed, so the only
-// variable is chunk scheduling.
+// variable is chunk scheduling. The percentiles are also pinned to
+// their golden virtual-time values.
 func TestInterleavingLatencyWin(t *testing.T) {
-	pts, err := InterleavingSweep()
+	legacy, err := InterleavingLatency(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, inter := pts[0], pts[1]
+	inter, err := InterleavingLatency(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		got           InterleavingPoint
+		p50, p99, max int64
+	}{
+		{legacy, 5396269, 8760110, 8760110},
+		{inter, 500995, 826528, 826528},
+	} {
+		if c.got.P50NS != c.p50 || c.got.P99NS != c.p99 || c.got.MaxNS != c.max {
+			t.Errorf("%s: p50/p99/max %d/%d/%d ns, golden %d/%d/%d ns", c.got.Mode,
+				c.got.P50NS, c.got.P99NS, c.got.MaxNS, c.p50, c.p99, c.max)
+		}
+	}
 	t.Logf("legacy:      p50 %9d ns  p99 %9d ns  max %9d ns",
 		legacy.P50NS, legacy.P99NS, legacy.MaxNS)
 	t.Logf("interleaved: p50 %9d ns  p99 %9d ns  max %9d ns",

@@ -2,16 +2,19 @@ package bench
 
 import "testing"
 
-// TestMulticastBeatsTree gates the BENCH_kernel.json multicast table:
-// on a 256-rank fat-tree the link-layer multicast broadcast must
-// complete faster than the binomial tree — one fabric traversal with
-// per-hop fan-out against log2(256) = 8 serial unicast generations.
-// The margin is asserted loosely (just "faster") so protocol-constant
-// drift doesn't flake the gate; the full spread is in the artifact.
+// TestMulticastBeatsTree gates the `cmd/paper -exp mcast` table: on a
+// 256-rank fat-tree the link-layer multicast broadcast must complete
+// faster than the binomial tree — one fabric traversal with per-hop
+// fan-out against log2(256) = 8 serial unicast generations — and the
+// row is pinned to its golden virtual-time values.
 func TestMulticastBeatsTree(t *testing.T) {
 	pt, err := MulticastCCT(256)
 	if err != nil {
 		t.Fatal(err)
+	}
+	golden := MulticastPoint{Ranks: 256, McastBcastNS: 1215348, TreeBcastNS: 2756808, NaiveBcastNS: 3207339672}
+	if pt != golden {
+		t.Errorf("multicast 256 ranks = %+v, golden %+v", pt, golden)
 	}
 	if pt.McastBcastNS <= 0 || pt.TreeBcastNS <= 0 {
 		t.Fatalf("empty measurement: %+v", pt)

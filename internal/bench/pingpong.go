@@ -81,16 +81,11 @@ var Fig8Sizes = []int{
 	49152, 65535, 98302, 131069,
 }
 
-// Fig8 regenerates Figure 8: ping-pong throughput for each size under
-// no loss, SCTP normalized to TCP.
-func Fig8(seed int64, iters int) (*Table, error) {
-	return Fig8Transports(seed, iters, nil)
-}
-
-// Fig8Transports is Fig8 over an arbitrary transport list (the -rpi
-// flag of cmd/paper): one throughput column per transport plus each
-// later transport's throughput normalized to the first. nil selects
-// the paper's pair (TCP, SCTP).
+// Fig8Transports regenerates Figure 8, ping-pong throughput for each
+// size under no loss, over a transport list (the -rpi flag of
+// cmd/paper): one throughput column per transport plus each later
+// transport's throughput normalized to the first. nil selects the
+// paper's pair (TCP, SCTP).
 func Fig8Transports(seed int64, iters int, transports []core.Transport) (*Table, error) {
 	if len(transports) == 0 {
 		transports = []core.Transport{core.TCP, core.SCTP}
@@ -112,8 +107,7 @@ func Fig8Transports(seed int64, iters int, transports []core.Transport) (*Table,
 	// One sweep cell per (size, transport); each runs in its own
 	// simulation and is independent of the rest.
 	nt := len(transports)
-	results := make([]float64, len(Fig8Sizes)*nt)
-	err := RunCells(len(results), func(i int) error {
+	results, err := collect(len(Fig8Sizes)*nt, func(i int) (float64, error) {
 		sz, tr := Fig8Sizes[i/nt], transports[i%nt]
 		it := iters
 		if sz >= 32768 && it > 60 {
@@ -121,10 +115,9 @@ func Fig8Transports(seed int64, iters int, transports []core.Transport) (*Table,
 		}
 		r, err := PingPong(core.Options{Transport: tr, Seed: seed}, sz, it, 10)
 		if err != nil {
-			return fmt.Errorf("fig8 %v size %d: %w", tr, sz, err)
+			return 0, fmt.Errorf("fig8 %v size %d: %w", tr, sz, err)
 		}
-		results[i] = r.Throughput
-		return nil
+		return r.Throughput, nil
 	})
 	if err != nil {
 		return nil, err
@@ -165,8 +158,7 @@ func Table1(seed int64, iters int) (*Table, error) {
 	// Flatten the (size, loss, transport, seed) grid into independent
 	// cells; sums are assembled afterwards in grid order.
 	cells := len(sizes) * len(losses) * len(trs) * Table1Seeds
-	results := make([]float64, cells)
-	err := RunCells(cells, func(i int) error {
+	results, err := collect(cells, func(i int) (float64, error) {
 		s := int64(i % Table1Seeds)
 		rest := i / Table1Seeds
 		tr := trs[rest%len(trs)]
@@ -177,29 +169,19 @@ func Table1(seed int64, iters int) (*Table, error) {
 			Transport: tr, Seed: seed + s, LossRate: loss,
 		}, sz, iters, 2)
 		if err != nil {
-			return fmt.Errorf("table1 %v loss %.0f%% size %d seed %d: %w",
+			return 0, fmt.Errorf("table1 %v loss %.0f%% size %d seed %d: %w",
 				tr, loss*100, sz, seed+s, err)
 		}
-		results[i] = r.Throughput
-		return nil
+		return r.Throughput, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for _, sz := range sizes {
-		var vals []float64
-		for range losses {
-			for range trs {
-				sum := 0.0
-				for s := 0; s < Table1Seeds; s++ {
-					sum += results[i]
-					i++
-				}
-				vals = append(vals, sum/Table1Seeds)
-			}
-		}
-		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dK", sz>>10), Values: vals})
+	means := seedMeans(results, Table1Seeds)
+	perSize := len(losses) * len(trs)
+	for i, sz := range sizes {
+		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dK", sz>>10),
+			Values: means[i*perSize : (i+1)*perSize : (i+1)*perSize]})
 	}
 	return t, nil
 }

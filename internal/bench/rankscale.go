@@ -16,12 +16,12 @@ import (
 // behaviour). ProactorNS should stay flat as Ranks grows — progress
 // cost follows *active* peers — while SelectNS grows with the mesh.
 type RankScalingPoint struct {
-	Ranks       int   `json:"ranks"`
-	ProactorNS  int64 `json:"proactor_virtual_ns"`
-	SelectNS    int64 `json:"select_virtual_ns"`
-	PollPasses  int64 `json:"poll_passes"`   // rank 0, proactor run
-	PollEvents  int64 `json:"poll_events"`   // rank 0, proactor run
-	PollScanFDs int64 `json:"poll_scan_fds"` // rank 0, select run
+	Ranks       int
+	ProactorNS  int64
+	SelectNS    int64
+	PollPasses  int64 // rank 0, proactor run
+	PollEvents  int64 // rank 0, proactor run
+	PollScanFDs int64 // rank 0, select run
 }
 
 // rankScalingIters trades resolution against the wall-clock cost of
@@ -100,23 +100,27 @@ func RankScaling(ranks int) (RankScalingPoint, error) {
 	return pt, nil
 }
 
-// RankScalingRanks is the mesh-size axis of the bench artifact. The
-// 256- and 1024-rank cells exist to pin the claim at scale: proactor
+// RankScalingRanks is the mesh-size axis of the rank-scaling table.
+// The 256- and 1024-rank cells pin the claim at scale: proactor
 // progress cost stays flat at 2 active peers while the select ablation
-// pays for every descriptor (the 1024-rank mesh costs ~2 minutes of
-// wall clock to bring up, so it only runs under BENCH_ARTIFACTS;
-// TestRankScalingSubLinear asserts the shape on 8/32 every run).
+// pays for every descriptor. The 1024-rank mesh costs about two minutes
+// of wall clock to bring up, so `cmd/paper -quick` drops the cells
+// above 128 ranks; TestRankScalingSubLinear pins 8 and 32 every run.
 var RankScalingRanks = []int{8, 32, 128, 256, 1024}
 
-// RankScalingSweep runs the full axis.
-func RankScalingSweep() ([]RankScalingPoint, error) {
-	pts := make([]RankScalingPoint, 0, len(RankScalingRanks))
-	for _, n := range RankScalingRanks {
-		pt, err := RankScaling(n)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
+// RankScalingTable runs RankScaling at each mesh size in ranks.
+func RankScalingTable(ranks []int) (*Table, error) {
+	return exactTable(&Table{
+		Title: fmt.Sprintf("Rank scaling: 4 KiB ping-pong x %d between 2 active peers in an N-rank TCP mesh (virtual ns)",
+			rankScalingIters),
+		Columns: []string{"proactor ns", "select ns", "poll passes", "poll events", "poll scan fds"},
+		Notes: []string{
+			"proactor: 1us/pass + 500ns/event; select ablation (paper §3.3 LAM): 1us/pass + 200ns/descriptor",
+			"passes and events: rank 0 of the proactor run; scan fds: rank 0 of the select run",
+		},
+	}, len(ranks), func(i int) (RankScalingPoint, error) { return RankScaling(ranks[i]) },
+		func(p RankScalingPoint) Row {
+			return Row{Label: fmt.Sprintf("%d ranks", p.Ranks), Values: []float64{float64(p.ProactorNS),
+				float64(p.SelectNS), float64(p.PollPasses), float64(p.PollEvents), float64(p.PollScanFDs)}}
+		})
 }

@@ -3,10 +3,11 @@ package bench
 import "testing"
 
 // TestRankScalingSubLinear is the readiness-engine scaling claim in
-// miniature (the full 8/32/128 axis goes in BENCH_kernel.json): with 2
-// active peers, quadrupling the mesh must leave proactor progress cost
-// nearly unchanged, while the select ablation visibly pays for every
-// extra descriptor per pass.
+// miniature (the full 8..1024 axis is `cmd/paper -exp rankscale`): with
+// 2 active peers, quadrupling the mesh must leave proactor progress
+// cost nearly unchanged, while the select ablation visibly pays for
+// every extra descriptor per pass. Both cells are also pinned to their
+// golden virtual-time values.
 func TestRankScalingSubLinear(t *testing.T) {
 	small, err := RankScaling(8)
 	if err != nil {
@@ -15,6 +16,16 @@ func TestRankScalingSubLinear(t *testing.T) {
 	big, err := RankScaling(32)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want RankScalingPoint }{
+		{small, RankScalingPoint{Ranks: 8, ProactorNS: 17186400, SelectNS: 17366400,
+			PollPasses: 1007, PollEvents: 612, PollScanFDs: 7056}},
+		{big, RankScalingPoint{Ranks: 32, ProactorNS: 17186400, SelectNS: 18073600,
+			PollPasses: 1013, PollEvents: 640, PollScanFDs: 25234}},
+	} {
+		if c.got != c.want {
+			t.Errorf("rank scaling %d ranks = %+v, golden %+v", c.want.Ranks, c.got, c.want)
+		}
 	}
 
 	// Proactor: cost follows active peers, not mesh size. Allow 10%

@@ -73,3 +73,42 @@ func RunCells(n int, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// collect runs cell(0..n-1) through RunCells and returns the results
+// in index order.
+func collect[P any](n int, cell func(i int) (P, error)) ([]P, error) {
+	out := make([]P, n)
+	err := RunCells(n, func(i int) (err error) {
+		out[i], err = cell(i)
+		return err
+	})
+	return out, err
+}
+
+// seedMeans averages each run of k consecutive values: the per-seed
+// cells of one row, laid out seed-innermost, become the row's mean.
+func seedMeans(vals []float64, k int) []float64 {
+	out := make([]float64, 0, len(vals)/k)
+	for i := 0; i < len(vals); i += k {
+		sum := 0.0
+		for _, v := range vals[i : i+k] {
+			sum += v
+		}
+		out = append(out, sum/float64(k))
+	}
+	return out
+}
+
+// exactTable fills t with one Exact row per cell(0..n-1), run through
+// RunCells.
+func exactTable[P any](t *Table, n int, cell func(i int) (P, error), row func(P) Row) (*Table, error) {
+	pts, err := collect(n, cell)
+	if err != nil {
+		return nil, err
+	}
+	t.Exact = true
+	for _, p := range pts {
+		t.Rows = append(t.Rows, row(p))
+	}
+	return t, nil
+}

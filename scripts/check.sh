@@ -61,6 +61,11 @@ go test -race -run 'TestConformance|TestDrive|TestEventCost' ./internal/mpi/rpi/
 echo "== rank-scaling bench smoke =="
 go test -run TestRankScalingSubLinear ./internal/bench/
 
+echo "== table producers (make paper: cmd/paper -exp all -quick) =="
+paper_start=$(date +%s)
+make paper >/dev/null
+echo "make paper took $(( $(date +%s) - paper_start ))s"
+
 echo "== fuzz smoke (chunk codec + interleaved reassembly) =="
 # Short coverage-guided runs of the I-DATA fuzz targets, starting from
 # the checked-in seed corpora under internal/sctp/testdata/fuzz.
