@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/mpi/rpi"
 )
 
 const (
@@ -47,7 +48,7 @@ func run(tr core.Transport) (time.Duration, error) {
 		Procs:     2,
 		Transport: tr,
 		Seed:      7,
-		NoCost:    true,
+		Cost:      &rpi.CostModel{}, // protocol dynamics only
 	})
 	if err != nil {
 		return 0, err

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/mpi/rpi"
 )
 
 func main() {
@@ -22,8 +23,8 @@ func main() {
 		Procs:         2,
 		Transport:     core.SCTP,
 		Seed:          3,
-		IfacesPerNode: 3, // the paper's three gigabit NICs per node
-		NoCost:        true,
+		IfacesPerNode: 3,                // the paper's three gigabit NICs per node
+		Cost:          &rpi.CostModel{}, // protocol dynamics only
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -140,7 +140,7 @@ func ablations() []ablation {
 	cmt := func(on bool) ablationRun {
 		lp := netsim.DefaultLinkParams()
 		lp.Bandwidth = 100e6
-		return programRun(core.Options{Procs: 2, Transport: core.SCTP, IfacesPerNode: 3, CMT: on, Link: &lp}, tenBulkSends)
+		return programRun(core.Options{Procs: 2, Transport: core.SCTP, IfacesPerNode: 3, SCTPConfig: &sctp.Config{CMT: on}, Link: &lp}, tenBulkSends)
 	}
 	return []ablation{
 		{"nagle", "nodelay (LAM)", nagle(true)},

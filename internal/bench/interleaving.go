@@ -51,16 +51,16 @@ func InterleavingLatency(interleaved bool) (InterleavingPoint, error) {
 	if interleaved {
 		pt.Mode = "interleaved"
 	}
+	cfg := sctp.Config{SndBuf: 1 << 20, RcvBuf: 96 << 10}
+	if interleaved {
+		cfg.IData, cfg.Scheduler = true, sctp.SchedPriority
+	}
 	opts := core.Options{
 		Transport:  core.SCTP,
 		Procs:      2,
 		Seed:       1,
 		Deadline:   60 * time.Second,
-		SCTPConfig: &sctp.Config{SndBuf: 1 << 20, RcvBuf: 96 << 10},
-	}
-	if interleaved {
-		opts.SCTPIData = true
-		opts.SCTPSched = sctp.SchedPriority
+		SCTPConfig: &cfg,
 	}
 
 	var lats []time.Duration

@@ -129,6 +129,30 @@ func (s Spec) ifaces() int {
 	return 1
 }
 
+// sctpConfig resolves the SCTP stack config of a run: the override,
+// plus I-DATA with the priority scheduler unless NoIData, plus CRC32c
+// verification whenever sched corrupts packets. Corruption on the wire
+// requires the receiver to verify, exactly the paper's trade-off (it
+// ran with verification off on a clean LAN); the DisableChecksum
+// mutation keeps it off to prove the oracle notices corrupted payloads
+// sneaking through.
+func (s Spec) sctpConfig(sched Schedule) *sctp.Config {
+	var cfg sctp.Config
+	if s.SCTP != nil {
+		cfg = *s.SCTP
+	}
+	if sched.HasCorrupt() && !s.DisableChecksum {
+		cfg.ChecksumVerify = true
+	}
+	if s.Transport != core.TCP && !s.NoIData {
+		cfg.IData = true
+		if cfg.Scheduler == sctp.SchedFIFO {
+			cfg.Scheduler = sctp.SchedPriority
+		}
+	}
+	return &cfg
+}
+
 // schedule resolves the effective fault schedule, applying Prefix.
 func (s Spec) schedule() Schedule {
 	sched := s.Schedule
@@ -292,22 +316,13 @@ func Run(spec Spec) *Result {
 		Seed:            spec.Seed,
 		LossRate:        spec.LossRate,
 		IfacesPerNode:   spec.ifaces(),
-		NoCost:          true,
+		Cost:            &rpi.CostModel{},
 		Deadline:        spec.Deadline,
-		SCTPConfig:      spec.SCTP,
 		RedialBudget:    spec.RedialBudget,
 		DropReplayEvery: spec.DropReplayEvery,
 		MCDupEvery:      spec.MCDupEvery,
 		MCDropEvery:     spec.MCDropEvery,
-		// Corruption on the wire requires the receiver to verify CRC32c,
-		// exactly the paper's trade-off (it ran with verification off on
-		// a clean LAN). A mutation test disables it to prove the oracle
-		// notices corrupted payloads sneaking through.
-		SCTPChecksum: sched.HasCorrupt() && !spec.DisableChecksum,
-	}
-	if spec.Transport != core.TCP && !spec.NoIData {
-		opts.SCTPIData = true
-		opts.SCTPSched = sctp.SchedPriority
+		SCTPConfig:      spec.sctpConfig(sched),
 	}
 	if spec.LinkDelay > 0 {
 		lp := netsim.DefaultLinkParams()

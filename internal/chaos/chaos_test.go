@@ -157,6 +157,36 @@ func TestMultihomedFailover(t *testing.T) {
 	}
 }
 
+// TestSCTPOverrideKeepsChecksum: a Spec.SCTP override is completed, not
+// replaced, by the run's own settings. A Corrupt event still turns on
+// CRC32c verification (unless the mutation knob keeps it off), and
+// I-DATA with the priority scheduler still applies.
+func TestSCTPOverrideKeepsChecksum(t *testing.T) {
+	sched := Schedule{{At: time.Millisecond, Dur: time.Millisecond, Act: Corrupt(0.05)}}
+	for _, tc := range []struct {
+		spec Spec
+		want bool
+	}{
+		{Spec{Transport: core.SCTP, SCTP: &failoverSCTP}, true},
+		{Spec{Transport: core.SCTPOneToOne, SCTP: &failoverSCTP, DisableChecksum: true}, false},
+	} {
+		cfg := tc.spec.sctpConfig(sched)
+		if cfg.ChecksumVerify != tc.want {
+			t.Errorf("%v DisableChecksum=%v: ChecksumVerify = %v, want %v",
+				tc.spec.Transport, tc.spec.DisableChecksum, cfg.ChecksumVerify, tc.want)
+		}
+		if !cfg.IData || cfg.Scheduler != sctp.SchedPriority {
+			t.Errorf("%v: IData=%v Scheduler=%v, want I-DATA with the priority scheduler", tc.spec.Transport, cfg.IData, cfg.Scheduler)
+		}
+		if cfg.HBInterval != failoverSCTP.HBInterval || cfg.RTOMin != failoverSCTP.RTOMin {
+			t.Errorf("%v: override timers lost: %+v", tc.spec.Transport, cfg)
+		}
+	}
+	if failoverSCTP.ChecksumVerify || failoverSCTP.IData {
+		t.Fatal("sctpConfig modified the caller's override")
+	}
+}
+
 // killSpec pins an AssocKill at t=2s of virtual time. The 25 ms link
 // delay stretches the mixed workload well past the kill, so the fault
 // lands mid-traffic on an active ring session.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/mpi/rpi"
 )
 
 var allTransports = []Transport{TCP, SCTP, SCTPSingleStream, SCTPOneToOne}
@@ -148,7 +149,7 @@ func TestWildcards(t *testing.T) {
 func TestSsendSynchronous(t *testing.T) {
 	// A synchronous send must not complete before the receive is
 	// posted: check via virtual time.
-	_, err := Run(Options{Procs: 2, Transport: SCTP, Seed: 5, NoCost: true},
+	_, err := Run(Options{Procs: 2, Transport: SCTP, Seed: 5, Cost: &rpi.CostModel{}},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			if comm.Rank() == 0 {
 				t0 := pr.P.Now()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/mpi/rpi"
 	"repro/internal/netsim/topo"
 )
 
@@ -13,7 +14,7 @@ func TestTopoEndToEnd(t *testing.T) {
 		rep, err := core.Run(core.Options{
 			Procs:     16,
 			Transport: tr,
-			NoCost:    true,
+			Cost:      &rpi.CostModel{},
 			Topo:      &topo.Config{Kind: topo.FatTree},
 		}, func(pr *mpi.Process, comm *mpi.Comm) error {
 			buf := mpi.I64Bytes([]int64{int64(comm.Rank())})

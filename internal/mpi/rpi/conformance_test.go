@@ -42,37 +42,46 @@ func makeNodes(net *netsim.Network, n int) ([]netsim.Addr, [][]netsim.Addr, []*n
 
 func backends() []backend {
 	return []backend{
-		{"tcp", func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
+		backendWith("tcp", sctp.Config{}),
+		backendWith("sctp", sctp.Config{}),
+		backendWith("sctp1to1", sctp.Config{}),
+	}
+}
+
+// backendWith builds one backend whose SCTP stacks use cfg (ignored by
+// the TCP module, which runs the LAM setting NoDelay).
+func backendWith(name string, cfg sctp.Config) backend {
+	switch name {
+	case "tcp":
+		return backend{name, func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
 			addrs, _, nodes := makeNodes(net, n)
 			barrier := rpi.NewBarrier(k, n)
 			mods := make([]rpi.RPI, n)
 			for i, nd := range nodes {
-				st := tcp.NewStack(nd, tcp.Config{NoDelay: true})
-				mods[i] = tcprpi.New(st, i, addrs, barrier,
-					tcprpi.Options{TCP: tcp.Config{NoDelay: true}})
+				mods[i] = tcprpi.New(tcp.NewStack(nd, tcp.Config{NoDelay: true}), i, addrs, barrier, tcprpi.Options{})
 			}
 			return mods
-		}},
-		{"sctp", func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
+		}}
+	case "sctp":
+		return backend{name, func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
 			_, lists, nodes := makeNodes(net, n)
 			barrier := rpi.NewBarrier(k, n)
 			mods := make([]rpi.RPI, n)
 			for i, nd := range nodes {
-				st := sctp.NewStack(nd, sctp.Config{})
-				mods[i] = sctprpi.New(st, i, lists, barrier, sctprpi.Options{})
+				mods[i] = sctprpi.New(sctp.NewStack(nd, cfg), i, lists, barrier, sctprpi.Options{})
 			}
 			return mods
-		}},
-		{"sctp1to1", func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
+		}}
+	default: // sctp1to1
+		return backend{name, func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
 			_, lists, nodes := makeNodes(net, n)
 			barrier := rpi.NewBarrier(k, n)
 			mods := make([]rpi.RPI, n)
 			for i, nd := range nodes {
-				st := sctp.NewStack(nd, sctp.Config{})
-				mods[i] = sctp1to1rpi.New(st, i, lists, barrier, sctp1to1rpi.Options{})
+				mods[i] = sctp1to1rpi.New(sctp.NewStack(nd, cfg), i, lists, barrier, sctp1to1rpi.Options{})
 			}
 			return mods
-		}},
+		}}
 	}
 }
 

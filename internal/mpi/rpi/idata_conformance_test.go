@@ -11,56 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
-	"repro/internal/mpi/rpi"
-	"repro/internal/mpi/sctp1to1rpi"
-	"repro/internal/mpi/sctprpi"
-	"repro/internal/mpi/tcprpi"
-	"repro/internal/netsim"
 	"repro/internal/sctp"
-	"repro/internal/sim"
-	"repro/internal/tcp"
 )
-
-// idataBackend builds one backend with an explicit SCTP configuration
-// (ignored by the TCP module, which has no interleaving to toggle).
-func idataBackend(name string, cfg sctp.Config) backend {
-	switch name {
-	case "tcp":
-		return backend{name, func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
-			addrs, _, nodes := makeNodes(net, n)
-			barrier := rpi.NewBarrier(k, n)
-			mods := make([]rpi.RPI, n)
-			for i, nd := range nodes {
-				st := tcp.NewStack(nd, tcp.Config{NoDelay: true})
-				mods[i] = tcprpi.New(st, i, addrs, barrier,
-					tcprpi.Options{TCP: tcp.Config{NoDelay: true}})
-			}
-			return mods
-		}}
-	case "sctp":
-		return backend{name, func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
-			_, lists, nodes := makeNodes(net, n)
-			barrier := rpi.NewBarrier(k, n)
-			mods := make([]rpi.RPI, n)
-			for i, nd := range nodes {
-				st := sctp.NewStack(nd, cfg)
-				mods[i] = sctprpi.New(st, i, lists, barrier, sctprpi.Options{SCTP: cfg})
-			}
-			return mods
-		}}
-	default: // sctp1to1
-		return backend{name, func(k *sim.Kernel, net *netsim.Network, n int) []rpi.RPI {
-			_, lists, nodes := makeNodes(net, n)
-			barrier := rpi.NewBarrier(k, n)
-			mods := make([]rpi.RPI, n)
-			for i, nd := range nodes {
-				st := sctp.NewStack(nd, cfg)
-				mods[i] = sctp1to1rpi.New(st, i, lists, barrier, sctp1to1rpi.Options{SCTP: cfg})
-			}
-			return mods
-		}}
-	}
-}
 
 // idataDigestProgram is the mixed workload: a ring exchange at three
 // sizes spanning eager and rendezvous, then a deterministic
@@ -137,7 +89,7 @@ func TestConformanceIDataMatrix(t *testing.T) {
 						}
 					}
 					digests := make([]uint64, n)
-					runWorld(t, idataBackend(name, cfg), n, 0, idataDigestProgram(digests))
+					runWorld(t, backendWith(name, cfg), n, 0, idataDigestProgram(digests))
 					return digests
 				}
 				off := run(false)

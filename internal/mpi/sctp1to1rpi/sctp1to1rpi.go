@@ -33,7 +33,6 @@ const Port = 7003
 // Options configures the module.
 type Options struct {
 	Cost rpi.CostModel
-	SCTP sctp.Config // Streams = 1 is the single-stream ablation
 	// OptionC interleaves bodiless control envelopes between body
 	// chunks, distinguished by PPID (see sctprpi.Options).
 	OptionC bool
@@ -51,14 +50,12 @@ type Module struct {
 	recv    *rpi.Reassembler
 }
 
-// New builds the module for one rank. addrs maps each world rank to
-// its full interface list (index 0 = primary); barrier must be shared
-// by all ranks.
+// New builds the module for one rank. Its associations use the stack's
+// config (Streams = 1 is the single-stream ablation). addrs maps each
+// world rank to its full interface list (index 0 = primary); barrier
+// must be shared by all ranks.
 func New(stack *sctp.Stack, rank int, addrs [][]netsim.Addr, barrier *rpi.Barrier, opts Options) *Module {
-	if opts.SCTP.Streams == 0 {
-		opts.SCTP.Streams = 10 // the paper's default stream pool
-	}
-	m := &Module{stack: stack, opts: opts, addrs: addrs, streams: opts.SCTP.Streams}
+	m := &Module{stack: stack, opts: opts, addrs: addrs}
 	m.Setup(rank, len(addrs), opts.Cost, opts.Session, barrier)
 	return m
 }
@@ -72,10 +69,11 @@ func (m *Module) StreamFor(context, tag int32) uint16 {
 // Init implements rpi.RPI. Writers with queued work flush at the end
 // of every poll pass.
 func (m *Module) Init(p *sim.Proc) error {
-	l, err := m.stack.ListenOneToOneConfig(Port, m.opts.SCTP)
+	l, err := m.stack.ListenOneToOne(Port)
 	if err != nil {
 		return err
 	}
+	m.streams = l.Config().Streams
 	m.sender = rpi.NewMsgSender(rpi.DeriveBodyChunk(l.Config().SndBuf),
 		m.opts.OptionC, m.Counters(), m.trySend)
 	m.recv = rpi.NewReassembler(m.Counters())
@@ -84,7 +82,7 @@ func (m *Module) Init(p *sim.Proc) error {
 
 // Connect implements rpi.PeerLink.
 func (m *Module) Connect(p *sim.Proc, r int) (*sctp.Conn, error) {
-	return m.stack.DialConfig(p, m.opts.SCTP, m.addrs[r], Port, m.streams)
+	return m.stack.Dial(p, m.addrs[r], Port, m.streams)
 }
 
 // Hello implements rpi.PeerLink.

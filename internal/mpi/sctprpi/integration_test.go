@@ -11,9 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
-// world builds n single-homed nodes with SCTP stacks and sctprpi
-// modules, runs fn per rank, and returns the modules for inspection.
-func world(t *testing.T, n int, lp netsim.LinkParams, opts Options, fn func(pr *mpi.Process, comm *mpi.Comm) error) []*Module {
+// world builds n single-homed nodes with SCTP stacks (config cfg,
+// heartbeats off) and sctprpi modules, runs fn per rank, and returns
+// the modules for inspection.
+func world(t *testing.T, n int, lp netsim.LinkParams, cfg sctp.Config, opts Options, fn func(pr *mpi.Process, comm *mpi.Comm) error) []*Module {
 	t.Helper()
 	k := sim.New(1)
 	net := netsim.NewNetwork(k)
@@ -25,13 +26,12 @@ func world(t *testing.T, n int, lp netsim.LinkParams, opts Options, fn func(pr *
 		nd := net.NewNode(fmt.Sprintf("n%d", i))
 		nd.AddInterface(netsim.MakeAddr(0, i+1))
 		addrs[i] = nd.Addrs()
-		stacks[i] = sctp.NewStack(nd, sctp.Config{HBDisable: true})
+		cfg.HBDisable = true
+		stacks[i] = sctp.NewStack(nd, cfg)
 	}
 	modules := make([]*Module, n)
 	for i := 0; i < n; i++ {
-		o := opts
-		o.SCTP.HBDisable = true
-		modules[i] = New(stacks[i], i, addrs, barrier, o)
+		modules[i] = New(stacks[i], i, addrs, barrier, opts)
 	}
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -60,7 +60,7 @@ func world(t *testing.T, n int, lp netsim.LinkParams, opts Options, fn func(pr *
 
 func TestOneSocketManyAssociations(t *testing.T) {
 	const n = 6
-	modules := world(t, n, netsim.DefaultLinkParams(), Options{},
+	modules := world(t, n, netsim.DefaultLinkParams(), sctp.Config{}, Options{},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			return comm.Barrier()
 		})
@@ -75,7 +75,7 @@ func TestOneSocketManyAssociations(t *testing.T) {
 }
 
 func TestTagsSpreadAcrossStreams(t *testing.T) {
-	modules := world(t, 2, netsim.DefaultLinkParams(), Options{},
+	modules := world(t, 2, netsim.DefaultLinkParams(), sctp.Config{}, Options{},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			if comm.Rank() == 0 {
 				for tag := 0; tag < 10; tag++ {
@@ -105,8 +105,7 @@ func TestTagsSpreadAcrossStreams(t *testing.T) {
 
 func TestLongMessageChunkingCounters(t *testing.T) {
 	// A 64 KiB send buffer derives 16 KiB middleware chunks.
-	opts := Options{SCTP: sctp.Config{SndBuf: 64 << 10}}
-	modules := world(t, 2, netsim.DefaultLinkParams(), opts,
+	modules := world(t, 2, netsim.DefaultLinkParams(), sctp.Config{SndBuf: 64 << 10}, Options{},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			if comm.Rank() == 0 {
 				// 200 KiB long message: rendezvous + 13 middleware chunks.
@@ -134,7 +133,7 @@ func TestLongMessageChunkingCounters(t *testing.T) {
 func TestOptionBQueueing(t *testing.T) {
 	// Two overlapping long sends on the same tag: the second must queue
 	// behind the first on the shared stream (Option B).
-	modules := world(t, 2, netsim.DefaultLinkParams(), Options{},
+	modules := world(t, 2, netsim.DefaultLinkParams(), sctp.Config{}, Options{},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			if comm.Rank() == 0 {
 				r1, err := comm.Isend(1, 5, make([]byte, 150<<10))
@@ -167,7 +166,7 @@ func TestOptionBQueueing(t *testing.T) {
 }
 
 func TestSingleStreamModeCounters(t *testing.T) {
-	modules := world(t, 2, netsim.DefaultLinkParams(), Options{SCTP: sctp.Config{Streams: 1}},
+	modules := world(t, 2, netsim.DefaultLinkParams(), sctp.Config{Streams: 1}, Options{},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			if comm.Rank() == 0 {
 				for tag := 0; tag < 5; tag++ {
@@ -195,7 +194,7 @@ func TestSingleStreamModeCounters(t *testing.T) {
 func TestUnderLossIntegration(t *testing.T) {
 	lp := netsim.DefaultLinkParams()
 	lp.LossRate = 0.02
-	world(t, 3, lp, Options{},
+	world(t, 3, lp, sctp.Config{}, Options{},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			me := comm.Rank()
 			for round := 0; round < 5; round++ {
@@ -214,7 +213,7 @@ func TestUnderLossIntegration(t *testing.T) {
 }
 
 func TestOptionCModule(t *testing.T) {
-	modules := world(t, 2, netsim.DefaultLinkParams(), Options{OptionC: true},
+	modules := world(t, 2, netsim.DefaultLinkParams(), sctp.Config{}, Options{OptionC: true},
 		func(pr *mpi.Process, comm *mpi.Comm) error {
 			other := 1 - comm.Rank()
 			out := make([]byte, 150<<10)

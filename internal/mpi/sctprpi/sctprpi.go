@@ -44,7 +44,6 @@ const Port = 7002
 // Options configures the module.
 type Options struct {
 	Cost rpi.CostModel
-	SCTP sctp.Config // Streams = 1 is the Figure 12 single-stream ablation
 
 	// OptionC enables the paper's §3.4.3 "Option C": control messages
 	// (bodiless envelopes such as the rendezvous ACK) are tagged with a
@@ -70,17 +69,16 @@ type Module struct {
 	assocByRank []sctp.AssocID
 	rankByAssoc map[sctp.AssocID]int
 	streams     int
+	sched       sctp.SchedPolicy // the I-DATA scheduler to stamp classes for, or SchedFIFO
 	sender      *rpi.MsgSender
 	recv        *rpi.Reassembler
 }
 
-// New builds the module for one rank. addrs maps each world rank to
-// its full interface list (index 0 = primary); barrier must be shared
-// by all ranks.
+// New builds the module for one rank. Its socket uses the stack's
+// config (Streams = 1 is the Figure 12 single-stream ablation). addrs
+// maps each world rank to its full interface list (index 0 = primary);
+// barrier must be shared by all ranks.
 func New(stack *sctp.Stack, rank int, addrs [][]netsim.Addr, barrier *rpi.Barrier, opts Options) *Module {
-	if opts.SCTP.Streams == 0 {
-		opts.SCTP.Streams = 10 // the paper's default stream pool
-	}
 	m := &Module{
 		stack:       stack,
 		opts:        opts,
@@ -106,13 +104,17 @@ func (m *Module) StreamFor(context, tag int32) uint16 {
 // regardless of world size.
 func (m *Module) Init(p *sim.Proc) error {
 	m.Bind(p, m, 1, m.Size, m.onEvent, nil)
-	sk, err := m.stack.SocketConfig(Port, m.opts.SCTP)
+	sk, err := m.stack.Socket(Port)
 	if err != nil {
 		return err
 	}
 	m.sock = sk
-	m.streams = sk.Config().Streams
-	m.sender = rpi.NewMsgSender(rpi.DeriveBodyChunk(sk.Config().SndBuf),
+	cfg := sk.Config()
+	m.streams = cfg.Streams
+	if cfg.IData {
+		m.sched = cfg.Scheduler
+	}
+	m.sender = rpi.NewMsgSender(rpi.DeriveBodyChunk(cfg.SndBuf),
 		m.opts.OptionC, m.Counters(), m.trySend)
 	m.recv = rpi.NewReassembler(m.Counters())
 	sk.Listen()
@@ -173,17 +175,11 @@ func (m *Module) trySend(key rpi.MsgKey, ppid uint32, data []byte) error {
 // cache keyed by association id would go stale on the surviving side.
 // On legacy or FIFO/RR associations nothing is stamped.
 func (m *Module) stampClass(key rpi.MsgKey, kind rpi.Kind) {
-	sched := m.opts.SCTP.Scheduler
-	if !m.opts.SCTP.IData ||
-		(sched != sctp.SchedPriority && sched != sctp.SchedWeightedFair) {
-		return
-	}
-	id := m.assocByRank[key.Rank]
-	class := rpi.ClassFor(kind)
-	if sched == sctp.SchedPriority {
-		_ = m.sock.SetStreamPriority(id, key.Stream, class)
-	} else {
-		_ = m.sock.SetStreamWeight(id, key.Stream, rpi.WeightFor(class))
+	switch m.sched {
+	case sctp.SchedPriority:
+		_ = m.sock.SetStreamPriority(m.assocByRank[key.Rank], key.Stream, rpi.ClassFor(kind))
+	case sctp.SchedWeightedFair:
+		_ = m.sock.SetStreamWeight(m.assocByRank[key.Rank], key.Stream, rpi.WeightFor(rpi.ClassFor(kind)))
 	}
 }
 

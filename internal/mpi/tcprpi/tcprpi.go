@@ -26,7 +26,6 @@ const Port = 7001
 // Options configures the module.
 type Options struct {
 	Cost    rpi.CostModel
-	TCP     tcp.Config // per-connection config; the core facade forces NoDelay on (LAM default)
 	Session rpi.SessionConfig
 }
 
@@ -34,7 +33,6 @@ type Options struct {
 type Module struct {
 	rpi.PeerMesh[*tcp.Conn]
 	stack *tcp.Stack
-	opts  Options
 	addrs []netsim.Addr // rank → primary address
 	peers []peer
 }
@@ -46,17 +44,19 @@ type peer struct {
 	in  rpi.StreamFramer
 }
 
-// New builds the module for one rank. addrs maps world rank to primary
-// address; barrier must be shared by all ranks in the job.
+// New builds the module for one rank. Its connections use the stack's
+// config (the core facade turns NoDelay on, the LAM default). addrs
+// maps world rank to primary address; barrier must be shared by all
+// ranks in the job.
 func New(stack *tcp.Stack, rank int, addrs []netsim.Addr, barrier *rpi.Barrier, opts Options) *Module {
-	m := &Module{stack: stack, opts: opts, addrs: addrs, peers: make([]peer, len(addrs))}
+	m := &Module{stack: stack, addrs: addrs, peers: make([]peer, len(addrs))}
 	m.Setup(rank, len(addrs), opts.Cost, opts.Session, barrier)
 	return m
 }
 
 // Init implements rpi.RPI.
 func (m *Module) Init(p *sim.Proc) error {
-	l, err := m.stack.ListenConfig(Port, m.opts.TCP)
+	l, err := m.stack.Listen(Port)
 	if err != nil {
 		return err
 	}
@@ -65,7 +65,7 @@ func (m *Module) Init(p *sim.Proc) error {
 
 // Connect implements rpi.PeerLink.
 func (m *Module) Connect(p *sim.Proc, r int) (*tcp.Conn, error) {
-	return m.stack.ConnectConfig(p, m.opts.TCP, m.addrs[r], Port)
+	return m.stack.Connect(p, m.addrs[r], Port)
 }
 
 // Hello implements rpi.PeerLink.

@@ -30,9 +30,7 @@ func world(t *testing.T, n int, opts Options, fn func(pr *mpi.Process, comm *mpi
 	}
 	modules := make([]*Module, n)
 	for i := 0; i < n; i++ {
-		o := opts
-		o.TCP.NoDelay = true
-		modules[i] = New(stacks[i], i, addrs, barrier, o)
+		modules[i] = New(stacks[i], i, addrs, barrier, opts)
 	}
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -161,7 +159,6 @@ func TestSelectCostCharged(t *testing.T) {
 			rank := i
 			m := New(stacks[rank], rank, addrs, barrier, Options{
 				Cost: rpi.CostModel{PollPerFD: pollPerFD},
-				TCP:  tcp.Config{NoDelay: true},
 			})
 			k.Spawn("r", func(p *sim.Proc) {
 				pr := mpi.NewProcess(p, rank, n, m, 0)

@@ -35,30 +35,20 @@ type Config struct {
 	RTOMin     time.Duration // default 1 s
 	RTOMax     time.Duration // default 60 s
 
-	SackDelay     time.Duration // delayed SACK timer (default 200 ms)
-	SackEveryPkts int           // SACK at least every n packets (default 2)
-
-	FastRtxThreshold int // missing reports before fast retransmit (default 3)
+	SackEveryPkts int // SACK at least every n packets (default 2)
 
 	PathMaxRetrans  int           // per-path error threshold (default 5)
 	AssocMaxRetrans int           // association error threshold (default 10)
 	HBInterval      time.Duration // heartbeat interval for idle paths (default 30 s)
 	HBDisable       bool
 
-	CookieLifetime time.Duration // default 60 s
-	Autoclose      time.Duration // close idle associations (0 = off)
-
-	InitRetries int // INIT / COOKIE-ECHO retransmissions (default 8)
+	Autoclose time.Duration // close idle associations (0 = off)
 
 	// ChecksumVerify enables CRC32c verification on receive. The paper
 	// turned the CRC off in the kernel so checksum cost would not skew
 	// results; the default here mirrors that (checksums are still
 	// computed on send for wire realism, but not charged as CPU cost).
 	ChecksumVerify bool
-
-	// PerChunkDelay models receive-side CPU cost per data chunk, the
-	// analogue of tcp.Config.PerSegmentDelay.
-	PerChunkDelay time.Duration
 
 	// AckCountingCwnd is an ablation switch: grow the congestion window
 	// per SACK received (TCP-style ack counting) instead of by bytes
@@ -94,6 +84,14 @@ type Config struct {
 	CMT bool
 }
 
+// Protocol constants: the RFC 4960 defaults the paper's KAME stack ran.
+const (
+	sackDelay        = 200 * time.Millisecond // delayed SACK timer
+	fastRtxThreshold = 3                      // missing reports before fast retransmit
+	cookieLifetime   = 60 * time.Second       // valid cookie life
+	initRetries      = 8                      // INIT / COOKIE-ECHO retransmissions
+)
+
 func (c Config) withDefaults() Config {
 	if c.SndBuf == 0 {
 		c.SndBuf = 64 << 10
@@ -113,14 +111,8 @@ func (c Config) withDefaults() Config {
 	if c.RTOMax == 0 {
 		c.RTOMax = 60 * time.Second
 	}
-	if c.SackDelay == 0 {
-		c.SackDelay = 200 * time.Millisecond
-	}
 	if c.SackEveryPkts == 0 {
 		c.SackEveryPkts = 2
-	}
-	if c.FastRtxThreshold == 0 {
-		c.FastRtxThreshold = 3
 	}
 	if c.PathMaxRetrans == 0 {
 		c.PathMaxRetrans = 5
@@ -130,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HBInterval == 0 {
 		c.HBInterval = 30 * time.Second
-	}
-	if c.CookieLifetime == 0 {
-		c.CookieLifetime = 60 * time.Second
-	}
-	if c.InitRetries == 0 {
-		c.InitRetries = 8
 	}
 	return c
 }

@@ -87,7 +87,7 @@ func (a *Assoc) armInitTimer(resend func()) {
 			return
 		}
 		a.initTries++
-		if a.initTries > a.cfg.InitRetries {
+		if a.initTries > initRetries {
 			a.fail(ErrTimeout, false)
 			return
 		}
@@ -429,7 +429,7 @@ func (sk *Socket) handleCookieEcho(src, dst netsim.Addr, pkt *packet, c *chunk) 
 	if err != nil {
 		return
 	}
-	if sk.kernel().Now()-ck.IssuedAt > sk.cfg.CookieLifetime {
+	if sk.kernel().Now()-ck.IssuedAt > cookieLifetime {
 		// Stale cookie: a real stack sends an ERROR; dropping forces
 		// the peer to restart the handshake, which is equivalent here.
 		return

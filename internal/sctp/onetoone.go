@@ -28,12 +28,7 @@ type Conn struct {
 // raddrs (all its addresses, for multihoming), blocking until the
 // handshake completes.
 func (s *Stack) Dial(p *sim.Proc, raddrs []netsim.Addr, rport uint16, streams int) (*Conn, error) {
-	return s.DialConfig(p, s.cfg, raddrs, rport, streams)
-}
-
-// DialConfig is Dial with an explicit socket configuration.
-func (s *Stack) DialConfig(p *sim.Proc, cfg Config, raddrs []netsim.Addr, rport uint16, streams int) (*Conn, error) {
-	sk, err := s.SocketConfig(0, cfg)
+	sk, err := s.Socket(0)
 	if err != nil {
 		return nil, err
 	}
@@ -55,13 +50,7 @@ type OneToOneListener struct {
 // ListenOneToOne starts accepting one-to-one style associations on
 // port.
 func (s *Stack) ListenOneToOne(port uint16) (*OneToOneListener, error) {
-	return s.ListenOneToOneConfig(port, s.cfg)
-}
-
-// ListenOneToOneConfig is ListenOneToOne with an explicit socket
-// configuration.
-func (s *Stack) ListenOneToOneConfig(port uint16, cfg Config) (*OneToOneListener, error) {
-	sk, err := s.SocketConfig(port, cfg)
+	sk, err := s.Socket(port)
 	if err != nil {
 		return nil, err
 	}

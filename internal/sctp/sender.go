@@ -580,7 +580,7 @@ func (a *Assoc) processSack(c *chunk) {
 			}
 			if evidence {
 				oc.missing++
-				if oc.missing >= a.cfg.FastRtxThreshold {
+				if oc.missing >= fastRtxThreshold {
 					a.markFastRtx(oc)
 				}
 			}

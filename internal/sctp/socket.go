@@ -93,7 +93,9 @@ func (s *Stack) Socket(port uint16) (*Socket, error) {
 	return s.SocketConfig(port, s.cfg)
 }
 
-// SocketConfig creates a one-to-many socket with explicit config.
+// SocketConfig creates a one-to-many socket with explicit config. It
+// exists for callers whose sockets differ from their stack's config:
+// protocol tests and internal/daemon.
 func (s *Stack) SocketConfig(port uint16, cfg Config) (*Socket, error) {
 	if port == 0 {
 		port = s.ephemeralPort()

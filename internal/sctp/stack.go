@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"hash"
-	"time"
 
 	"repro/internal/freelist"
 	"repro/internal/netsim"
@@ -213,30 +212,13 @@ func (s *Stack) handlePacket(ipPkt *netsim.Packet, ifc *netsim.Iface) {
 	}
 	// DATA chunk payloads alias the IP payload; record the owning packet
 	// so the reassembly queue can hold a reference instead of copying.
-	nData := 0
 	for _, c := range pkt.Chunks {
 		if c.Type == ctData || c.Type == ctIData {
 			c.buf = ipPkt
-			nData++
 		}
 	}
-	if d := sk.cfg.PerChunkDelay; d > 0 && nData > 0 {
-		// The chunks alias the pooled payload; keep it alive across the
-		// deferred dispatch.
-		ipPkt.Retain()
-		s.kernel().After(time.Duration(nData)*d, func() {
-			s.dispatch(sk, ipPkt, pkt)
-			ipPkt.Release()
-		})
-		return
-	}
-	s.dispatch(sk, ipPkt, pkt)
-}
-
-// dispatch hands a decoded packet to its socket. Dispatch keeps nothing
-// but payload slices and the owning netsim packet; the decoded packet
-// and its chunks recycle right after.
-func (s *Stack) dispatch(sk *Socket, ipPkt *netsim.Packet, pkt *packet) {
+	// The socket keeps nothing but payload slices and the owning netsim
+	// packet; the decoded packet and its chunks recycle right after.
 	sk.handlePacket(ipPkt.Src, ipPkt.Dst, pkt)
 	s.freePacket(pkt)
 }

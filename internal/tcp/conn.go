@@ -25,34 +25,34 @@ var (
 var _ transport.Endpoint = (*Conn)(nil)
 
 // Config holds per-connection tunables. Zero values select defaults
-// documented on each field.
+// documented on each field. The timers and retry limits are fixed at
+// the BSD-era values the paper's FreeBSD nodes ran (see the constants
+// below).
 type Config struct {
 	SndBuf int // send buffer bytes (default 64 KiB; experiments use 220 KiB)
 	RcvBuf int // receive buffer bytes (default 64 KiB; experiments use 220 KiB)
 
 	NoDelay bool // disable Nagle (LAM-TCP default: disabled, i.e. NoDelay=true)
 
-	DelAck        time.Duration // delayed-ACK timeout (default 100 ms, BSD-style)
-	AckEverySegs  int           // ACK at least every n segments (default 2)
-	RTOMin        time.Duration // minimum retransmission timeout (default 1 s)
-	RTOMax        time.Duration // maximum retransmission timeout (default 64 s)
-	SackEnabled   bool          // negotiate the SACK option (paper setting: on)
-	NoSack        bool          // force SACK off (for ablations)
-	MaxSackBlocks int           // SACK blocks per ACK (default 4, the BSD option-space limit)
-	MaxRetries    int           // retransmissions before aborting (default 12)
-	SynRetries    int           // SYN retransmissions before failing connect (default 5)
-	InitCwndBytes int           // initial congestion window (default 4380, RFC 3390)
-
-	// PerSegmentDelay models receive-side CPU cost per segment (checksum
-	// work, etc). The paper offloads TCP checksums to the NIC, so the
-	// default is zero.
-	PerSegmentDelay time.Duration
+	NoSack        bool // force SACK off (for ablations; the paper's setting is on)
+	MaxSackBlocks int  // SACK blocks per ACK (default 4, the BSD option-space limit)
 
 	// Probe, when non-nil, receives protocol-event callbacks (in-order
 	// delivery advance, congestion-window changes). The chaos harness
 	// installs its invariant oracles here.
 	Probe *Probe
 }
+
+// Protocol constants of the paper's FreeBSD TCP.
+const (
+	delAck        = 100 * time.Millisecond // delayed-ACK timeout (BSD-style)
+	ackEverySegs  = 2                      // ACK at least every n in-order segments
+	rtoMin        = time.Second            // minimum retransmission timeout
+	rtoMax        = 64 * time.Second       // maximum retransmission timeout
+	maxRetries    = 12                     // retransmissions before aborting
+	synRetries    = 5                      // SYN retransmissions before failing connect
+	initCwndBytes = 4380                   // initial congestion window (RFC 3390)
+)
 
 func (c Config) withDefaults() Config {
 	if c.SndBuf == 0 {
@@ -61,31 +61,9 @@ func (c Config) withDefaults() Config {
 	if c.RcvBuf == 0 {
 		c.RcvBuf = 64 << 10
 	}
-	if c.DelAck == 0 {
-		c.DelAck = 100 * time.Millisecond
-	}
-	if c.AckEverySegs == 0 {
-		c.AckEverySegs = 2
-	}
-	if c.RTOMin == 0 {
-		c.RTOMin = time.Second
-	}
-	if c.RTOMax == 0 {
-		c.RTOMax = 64 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 12
-	}
-	if c.SynRetries == 0 {
-		c.SynRetries = 5
-	}
-	if c.InitCwndBytes == 0 {
-		c.InitCwndBytes = 4380
-	}
 	if c.MaxSackBlocks == 0 {
 		c.MaxSackBlocks = maxSackBlocks
 	}
-	c.SackEnabled = !c.NoSack
 	return c
 }
 
@@ -182,8 +160,8 @@ type Conn struct {
 	Stats Stats
 }
 
-func (s *Stack) newConn(cfg Config, laddr netsim.Addr, lport uint16, raddr netsim.Addr, rport uint16) *Conn {
-	cfg = cfg.withDefaults()
+func (s *Stack) newConn(laddr netsim.Addr, lport uint16, raddr netsim.Addr, rport uint16) *Conn {
+	cfg := s.cfg
 	c := &Conn{
 		stack:     s,
 		cfg:       cfg,
@@ -192,7 +170,7 @@ func (s *Stack) newConn(cfg Config, laddr netsim.Addr, lport uint16, raddr netsi
 		lport:     lport,
 		rport:     rport,
 		noDelay:   cfg.NoDelay,
-		rto:       cfg.RTOMin * 3, // conservative pre-measurement default
+		rto:       rtoMin * 3, // conservative pre-measurement default
 		readCond:  sim.NewCond(s.kernel()),
 		writeCond: sim.NewCond(s.kernel()),
 		connCond:  sim.NewCond(s.kernel()),
@@ -201,7 +179,7 @@ func (s *Stack) newConn(cfg Config, laddr netsim.Addr, lport uint16, raddr netsi
 	c.rb.limit = cfg.RcvBuf
 	c.mss = s.node.MTU(laddr, raddr) - netsim.IPHeaderSize - headerBaseSize
 	c.iss = seqnum.V(s.kernel().Rand().Uint32())
-	c.cwnd = cfg.InitCwndBytes
+	c.cwnd = initCwndBytes
 	c.ssthresh = 1 << 30
 	return c
 }
@@ -349,7 +327,7 @@ func (c *Conn) establish(seg *segment) {
 	if seg.MSS != 0 && int(seg.MSS) < c.mss {
 		c.mss = int(seg.MSS)
 	}
-	c.peerSack = c.cfg.SackEnabled
+	c.peerSack = !c.cfg.NoSack
 	c.rtoTimer.Stop()
 	c.rtxShift = 0
 	c.retries = 0
@@ -685,10 +663,10 @@ func (c *Conn) updateRTT(m time.Duration) {
 		c.srtt = (7*c.srtt + m) / 8
 	}
 	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.RTOMin {
-		c.rto = c.cfg.RTOMin
+	if c.rto < rtoMin {
+		c.rto = rtoMin
 	}
-	if c.rto > c.cfg.RTOMax {
-		c.rto = c.cfg.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 }

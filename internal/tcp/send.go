@@ -199,10 +199,10 @@ func (c *Conn) sendSynAck() {
 }
 
 // scheduleAck implements the delayed-ACK policy: an ACK is sent after
-// AckEverySegs in-order segments or when the DelAck timer fires.
+// ackEverySegs in-order segments or when the delAck timer fires.
 func (c *Conn) scheduleAck() {
 	c.unackedSegs++
-	if c.unackedSegs >= c.cfg.AckEverySegs {
+	if c.unackedSegs >= ackEverySegs {
 		c.sendAckNow()
 		return
 	}
@@ -211,7 +211,7 @@ func (c *Conn) scheduleAck() {
 		if c.delackFn == nil {
 			c.delackFn = c.onDelack
 		}
-		c.delackTimer = c.kernel().After(c.cfg.DelAck, c.delackFn)
+		c.delackTimer = c.kernel().After(delAck, c.delackFn)
 	}
 }
 
@@ -238,7 +238,7 @@ func (c *Conn) sendAckNow() {
 		Ack:   c.rcvNxt,
 		Wnd:   uint32(c.rb.window()),
 	}
-	if c.cfg.SackEnabled {
+	if !c.cfg.NoSack {
 		c.sackScratch = c.rb.sackBlocks(c.sackScratch[:0], c.cfg.MaxSackBlocks, c.lastOOOSeq, c.lastOOOLen)
 		seg.Sacks = c.sackScratch
 	}
@@ -268,8 +268,8 @@ func (c *Conn) maybeSendWindowUpdate() {
 func (c *Conn) resetRTO() {
 	c.rtoTimer.Stop()
 	d := c.rto << c.rtxShift
-	if d > c.cfg.RTOMax {
-		d = c.cfg.RTOMax
+	if d > rtoMax {
+		d = rtoMax
 	}
 	if c.rtoFn == nil {
 		c.rtoFn = c.onRTO
@@ -288,7 +288,7 @@ func (c *Conn) onRTO() {
 	if c.peerWnd > 0 {
 		c.retries++
 	}
-	if c.retries > c.cfg.MaxRetries {
+	if c.retries > maxRetries {
 		c.fail(ErrTimeout)
 		return
 	}
@@ -324,8 +324,8 @@ func (c *Conn) startPersist() {
 		return
 	}
 	d := c.rto << c.persistShift
-	if d > c.cfg.RTOMax {
-		d = c.cfg.RTOMax
+	if d > rtoMax {
+		d = rtoMax
 	}
 	c.persistTimer = c.kernel().After(d, func() {
 		if c.state == stateDone || c.peerWnd > 0 || c.unsentBytes() == 0 {

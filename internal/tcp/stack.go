@@ -26,7 +26,8 @@ type fourTuple struct {
 	rport uint16
 }
 
-// NewStack attaches a TCP stack with default config cfg to node.
+// NewStack attaches a TCP stack to node; every connection it opens or
+// accepts uses cfg.
 func NewStack(node *netsim.Node, cfg Config) *Stack {
 	s := &Stack{
 		node:      node,
@@ -45,20 +46,6 @@ func (s *Stack) Node() *netsim.Node { return s.node }
 func (s *Stack) kernel() *sim.Kernel { return s.node.Kernel() }
 
 func (s *Stack) handlePacket(pkt *netsim.Packet, ifc *netsim.Iface) {
-	if d := s.cfg.PerSegmentDelay; d > 0 {
-		seg, err := decodeSegment(pkt.Payload)
-		if err != nil {
-			return
-		}
-		// seg.Data aliases the packet payload; keep it alive across the
-		// deferred dispatch.
-		pkt.Retain()
-		s.kernel().After(d, func() {
-			s.dispatch(pkt, seg)
-			pkt.Release()
-		})
-		return
-	}
 	// Dispatch finishes with the segment before the next packet can
 	// arrive, so one decoded segment serves them all.
 	if s.rx.decode(pkt.Payload) == nil {
@@ -113,7 +100,6 @@ func (s *Stack) ephemeralPort() uint16 {
 type Listener struct {
 	stack   *Stack
 	port    uint16
-	cfg     Config
 	backlog []*Conn
 	cond    *sim.Cond
 	closed  bool
@@ -125,17 +111,13 @@ type Listener struct {
 // nonblocking caller parked elsewhere can wake up and TryAccept it.
 func (l *Listener) SetNotify(fn func(transport.Ready)) { l.notify = fn }
 
-// Listen starts listening on port with the stack's default config.
+// Listen starts listening on port; accepted connections use the
+// stack's config.
 func (s *Stack) Listen(port uint16) (*Listener, error) {
-	return s.ListenConfig(port, s.cfg)
-}
-
-// ListenConfig starts listening on port; accepted connections use cfg.
-func (s *Stack) ListenConfig(port uint16, cfg Config) (*Listener, error) {
 	if _, ok := s.listeners[port]; ok {
 		return nil, errors.New("tcp: port in use")
 	}
-	l := &Listener{stack: s, port: port, cfg: cfg.withDefaults(), cond: sim.NewCond(s.kernel())}
+	l := &Listener{stack: s, port: port, cond: sim.NewCond(s.kernel())}
 	s.listeners[port] = l
 	return l, nil
 }
@@ -148,14 +130,14 @@ func (l *Listener) handleSyn(pkt *netsim.Packet, seg *segment) {
 	if _, ok := l.stack.conns[key]; ok {
 		return // duplicate SYN for a connection in progress; conn handles it
 	}
-	c := l.stack.newConn(l.cfg, pkt.Dst, seg.DstPort, pkt.Src, seg.SrcPort)
+	c := l.stack.newConn(pkt.Dst, seg.DstPort, pkt.Src, seg.SrcPort)
 	c.state = stateSynRcvd
 	c.rcvNxt = seg.Seq.Add(1)
 	if seg.MSS != 0 && int(seg.MSS) < c.mss {
 		c.mss = int(seg.MSS)
 	}
 	c.peerWnd = seg.Wnd
-	c.peerSack = c.cfg.SackEnabled
+	c.peerSack = !c.cfg.NoSack
 	c.sndUna = c.iss
 	c.sndNxt = c.iss.Add(1)
 	c.maxSent = c.sndNxt
@@ -170,7 +152,7 @@ func (l *Listener) handleSyn(pkt *netsim.Packet, seg *segment) {
 				return
 			}
 			c.retries++
-			if c.retries > c.cfg.SynRetries {
+			if c.retries > synRetries {
 				c.fail(ErrTimeout)
 				return
 			}
@@ -228,17 +210,12 @@ func (l *Listener) Close() {
 // Port returns the listening port.
 func (l *Listener) Port() uint16 { return l.port }
 
-// Connect opens a connection to raddr:rport using the stack's default
-// config, blocking until established or failed.
+// Connect opens a connection to raddr:rport using the stack's config,
+// blocking until established or failed.
 func (s *Stack) Connect(p *sim.Proc, raddr netsim.Addr, rport uint16) (*Conn, error) {
-	return s.ConnectConfig(p, s.cfg, raddr, rport)
-}
-
-// ConnectConfig opens a connection with explicit configuration.
-func (s *Stack) ConnectConfig(p *sim.Proc, cfg Config, raddr netsim.Addr, rport uint16) (*Conn, error) {
 	laddr := s.node.Addr()
 	lport := s.ephemeralPort()
-	c := s.newConn(cfg, laddr, lport, raddr, rport)
+	c := s.newConn(laddr, lport, raddr, rport)
 	c.state = stateSynSent
 	s.conns[fourTuple{laddr, lport, raddr, rport}] = c
 	c.sendSyn()
@@ -249,7 +226,7 @@ func (s *Stack) ConnectConfig(p *sim.Proc, cfg Config, raddr netsim.Addr, rport 
 				return
 			}
 			c.retries++
-			if c.retries > c.cfg.SynRetries {
+			if c.retries > synRetries {
 				c.fail(ErrTimeout)
 				return
 			}
