@@ -528,7 +528,10 @@ func (n *Network) traverse(p *Pipe, pkt *Packet) {
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	if p.params.QueueBytes > 0 && p.params.Bandwidth > 0 {
+	// Only a busy pipe has a backlog. On an idle one busyUntil-now is
+	// negative, and past ~9 s at 1 Gb/s its product with the bandwidth
+	// overflows int64 into a spurious positive backlog.
+	if p.params.QueueBytes > 0 && p.params.Bandwidth > 0 && p.busyUntil > now {
 		backlogBytes := int64(p.busyUntil-now) * p.params.Bandwidth / (8 * int64(time.Second))
 		if backlogBytes > int64(p.params.QueueBytes) {
 			n.Stats.PacketsQueued++

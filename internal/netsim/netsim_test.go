@@ -110,6 +110,28 @@ func TestQueueDrop(t *testing.T) {
 	}
 }
 
+// TestIdlePipeNotQueueDropped: a pipe idle for seconds has no backlog.
+// The backlog of an idle pipe was once computed from the negative
+// busyUntil-now, whose product with a 1 Gb/s bandwidth overflows past
+// ~9 s of idleness and read as a full queue.
+func TestIdlePipeNotQueueDropped(t *testing.T) {
+	for _, idle := range []time.Duration{10 * time.Second, 30 * time.Second, 300 * time.Second} {
+		k, net, a, b := twoNodes(1, DefaultLinkParams())
+		got := 0
+		b.Handle(99, func(pkt *Packet, ifc *Iface) { got++ })
+		send := func() { a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: 99, Payload: make([]byte, 1000)}) }
+		send()
+		k.After(idle, send)
+		k.After(2*idle, send)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != 3 || net.Stats.PacketsQueued != 0 {
+			t.Errorf("idle %v: delivered %d of 3, %d queue drops", idle, got, net.Stats.PacketsQueued)
+		}
+	}
+}
+
 func TestIfaceDown(t *testing.T) {
 	k, net, a, b := twoNodes(1, DefaultLinkParams())
 	got := 0
