@@ -180,8 +180,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		Sacks: []sackBlock{{3000, 4000}, {5000, 6000}},
 		Data:  []byte("data bytes"),
 	}
-	out, err := decodeSegment(in.encode())
-	if err != nil {
+	var out segment
+	if err := out.decode(in.encode()); err != nil {
 		t.Fatal(err)
 	}
 	if out.Seq != in.Seq || out.Ack != in.Ack || out.Wnd != in.Wnd ||
@@ -200,7 +200,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestQuickSegmentGarbage(t *testing.T) {
 	f := func(b []byte) bool {
-		decodeSegment(b) // must not panic
+		new(segment).decode(b) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

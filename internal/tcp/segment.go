@@ -73,14 +73,6 @@ func (s *segment) encode() []byte {
 	return w.B
 }
 
-func decodeSegment(b []byte) (*segment, error) {
-	s := &segment{}
-	if err := s.decode(b); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // decode parses b into s, reusing the array of s.Sacks whether or not
 // the segment carries SACK blocks. Data aliases b.
 func (s *segment) decode(b []byte) error {

@@ -38,6 +38,16 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== examples (each must exit 0) =="
+# The examples are the README's runnable demos (the §3.5.1 failover run
+# among them); no test imports them, so a broken one only shows here.
+for ex in examples/*/; do
+	if ! go run "./$ex" >/dev/null; then
+		echo "example $ex failed" >&2
+		exit 1
+	fi
+done
+
 echo "== allocation pins (GOMAXPROCS=1) + shared wire pool (-race) =="
 # The steady-state message path must not allocate: AllocsPerRun pins on
 # Proc.Sleep, Cond hand-off, wire Get/Put, a mesh Node.Send, the
