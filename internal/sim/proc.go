@@ -47,28 +47,33 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() time.Duration { return p.k.now }
 
 // park blocks the process until another actor calls k.ready(p). The
-// successor (the next runnable process, or the kernel loop) is resumed
-// directly; all of p's state is written before the handoff, so the
-// successor observes a fully parked process.
+// process runs the scheduler itself: if the first process to become
+// runnable is p, it keeps running; otherwise its successor (or Run) gets
+// the token directly. All of p's state is written before the hand-off,
+// so the successor observes a fully parked process.
 func (p *Proc) park() {
 	p.state = stateParked
 	p.waitGen++
-	p.k.schedNext()
-	<-p.resume
+	p.reschedule()
 }
 
 // Yield gives up the processor; the process stays runnable and will be
 // rescheduled after currently pending work.
 func (p *Proc) Yield() {
+	p.state = stateReady
+	p.k.run.Push(p)
+	p.reschedule()
+}
+
+// reschedule runs the scheduler on p's goroutine and blocks p until the
+// token comes back, unless the scheduler picks p itself.
+func (p *Proc) reschedule() {
 	k := p.k
-	if k.run.Len() == 0 && !k.stopped {
-		// No other process is runnable: handing control away would
-		// schedule p itself right back, so just keep running.
+	next := k.dispatch()
+	if next == p {
 		return
 	}
-	p.state = stateReady
-	k.run.Push(p)
-	k.schedNext()
+	k.pass(next)
 	<-p.resume
 }
 

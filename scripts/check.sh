@@ -62,6 +62,14 @@ GOMAXPROCS=1 go test -count=1 -run 'AllocFree|AllocsPerMessage|NoAllocSteadyStat
 go test -race -count=10 ./internal/wire/
 echo "allocation pins + wire race took $(( $(date +%s) - pins_start ))s"
 
+echo "== go test -race (kernel + cluster) =="
+# Event callbacks run on whichever process goroutine holds the execution
+# token, so the token hand-offs are what order kernel state between
+# goroutines; these packages drive every hand-off edge.
+race_start=$(date +%s)
+go test -race ./internal/sim/ ./internal/core/
+echo "kernel + cluster race took $(( $(date +%s) - race_start ))s"
+
 echo "== go test -race (sweep runner) =="
 go test -race ./internal/bench/...
 
