@@ -275,7 +275,7 @@ func TestKillCorpusQuick(t *testing.T) {
 	golden := map[core.Transport][5]string{
 		core.TCP:          {"97ed31f903e4", "3acd75d0271b", "186e5b96e377", "3b50bbd05ffa", "b0ffbc793e7a"},
 		core.SCTP:         {"7cbe5325dc5f", "c9cb595f2899", "5d6fa7013323", "9a805030e74f", "df2f1b8613cb"},
-		core.SCTPOneToOne: {"4a252c960f3f", "e7cdd9408e6a", "d76aa8df0710", "321d8400e801", "721f25afc2dc"},
+		core.SCTPOneToOne: {"4a252c960f3f", "de7ba83d5854", "d76aa8df0710", "3d18ca4203d2", "721f25afc2dc"},
 	}
 	for _, tr := range allTransports {
 		for seed := int64(1); seed <= 5; seed++ {
