@@ -12,7 +12,7 @@ import (
 
 // TestScaleSmoke1024 is the `scripts/check.sh` scale gate: bring up a
 // 1024-rank world on a generated k=16 fat-tree and complete one tree
-// Allreduce end to end. It exercises the timer wheel, the event arena,
+// Allreduce end to end. It exercises the event schedule and arena,
 // multi-hop routing, and the O(log N) collectives at the target scale
 // in one shot. Gated behind SCALE_SMOKE=1 because full-mesh transport
 // bring-up at 1024 ranks costs about a minute of wall clock.

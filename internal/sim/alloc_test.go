@@ -68,3 +68,24 @@ func TestCondWaitSignalAllocFree(t *testing.T) {
 		t.Errorf("Cond hand-off allocates %.2f times per round, want 0", allocs)
 	}
 }
+
+// TestAfterNoAllocSteadyState pins the arena contract: once the free
+// list and the schedule's array have grown, scheduling and firing events
+// allocates nothing.
+func TestAfterNoAllocSteadyState(t *testing.T) {
+	k := New(1)
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			k.After(time.Duration(i)*37*time.Microsecond, func() {})
+		}
+		k.After(3*time.Millisecond, func() {})
+		k.After(800*time.Millisecond, func() {})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // carve the arena block and grow the heap
+	if n := testing.AllocsPerRun(50, cycle); n > 0 {
+		t.Fatalf("steady-state event cycle allocates %.1f times per run, want 0", n)
+	}
+}

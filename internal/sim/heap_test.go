@@ -9,8 +9,8 @@ import (
 
 // TestEventHeapOrder checks the typed heap against a (when, seq) sort:
 // first directly, with random push/pop/remove and the index invariant
-// after every operation, then through the kernel, stopping timers that
-// sit in the ready heap (same-tick events) and in the overflow heap.
+// after every operation, then through the kernel, stopping timers both
+// near the current instant and far in the future.
 func TestEventHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	t.Run("direct", func(t *testing.T) {
@@ -76,24 +76,18 @@ func TestEventHeapOrder(t *testing.T) {
 		k := New(1)
 		var fired, want []fire
 		var timers []Timer
-		schedule := func(d time.Duration, loc int8) {
+		schedule := func(d time.Duration) {
 			seq := len(want)
 			when := k.Now() + d
-			tm := k.After(d, func() { fired = append(fired, fire{when, seq}) })
-			if tm.ev.where != loc {
-				t.Fatalf("event %d in container %d, want %d", seq, tm.ev.where, loc)
-			}
-			timers = append(timers, tm)
+			timers = append(timers, k.After(d, func() { fired = append(fired, fire{when, seq}) }))
 			want = append(want, fire{when, seq})
 		}
-		start := 40 * time.Microsecond
-		k.After(start, func() {
-			// Delays inside the current tick land in the ready heap; the
-			// overflow heap takes everything past level 1's horizon.
-			tickEnd := time.Duration(tickOf(start)+1) << tickShift
+		k.After(40*time.Microsecond, func() {
+			// Sub-microsecond delays tie often; the far ones tie on
+			// whole minutes.
 			for i := 0; i < 600; i++ {
-				schedule(time.Duration(rng.Int63n(int64(tickEnd-start))), locReady)
-				schedule(time.Second+time.Duration(rng.Intn(4))*time.Minute, locFar)
+				schedule(time.Duration(rng.Int63n(1000)))
+				schedule(time.Second + time.Duration(rng.Intn(4))*time.Minute)
 			}
 			stopped := make(map[int]bool)
 			for i := 0; i < 400; i++ {
@@ -131,4 +125,104 @@ func TestEventHeapOrder(t *testing.T) {
 			t.Fatalf("PendingEvents = %d at quiescence", k.PendingEvents())
 		}
 	})
+}
+
+// TestScheduleOrderingFuzz schedules thousands of timers over four
+// horizons, with exact ties and random cancellations, and checks the
+// kernel fires them at their due time in exactly (when, seq) order: the
+// contract the golden trace hash relies on.
+func TestScheduleOrderingFuzz(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	horizons := []time.Duration{
+		50 * time.Microsecond,
+		2 * time.Millisecond,
+		400 * time.Millisecond,
+		3 * time.Second,
+	}
+	type expect struct {
+		when time.Duration
+		seq  int
+	}
+	k := New(1)
+	var fired []expect
+	var want []expect
+	timers := make([]Timer, 0, 2000)
+	for i := 0; i < 2000; i++ {
+		h := horizons[rng.Intn(len(horizons))]
+		d := time.Duration(rng.Int63n(int64(h)))
+		if rng.Intn(10) == 0 {
+			d = h // exact ties across insertions
+		}
+		seq := i
+		timers = append(timers, k.After(d, func() {
+			fired = append(fired, expect{k.Now(), seq})
+		}))
+		want = append(want, expect{d, seq})
+	}
+	// Cancel a third of them before running.
+	cancelled := make(map[int]bool)
+	for i := 0; i < 700; i++ {
+		j := rng.Intn(len(timers))
+		if timers[j].Stop() {
+			cancelled[j] = true
+		}
+	}
+	kept := want[:0]
+	for i, e := range want {
+		if !cancelled[i] {
+			kept = append(kept, e)
+		}
+	}
+	sort.SliceStable(kept, func(i, j int) bool {
+		if kept[i].when != kept[j].when {
+			return kept[i].when < kept[j].when
+		}
+		return kept[i].seq < kept[j].seq
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != len(kept) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(kept))
+	}
+	for i := range fired {
+		if fired[i] != kept[i] {
+			t.Fatalf("event %d fired as %+v, want %+v", i, fired[i], kept[i])
+		}
+	}
+	if k.PendingEvents() != 0 {
+		t.Fatalf("PendingEvents = %d at quiescence", k.PendingEvents())
+	}
+}
+
+// TestZeroDelayAfterFIFO checks that zero-delay events scheduled from
+// inside a callback run at the same virtual instant, after everything
+// already scheduled for that instant, in FIFO order.
+func TestZeroDelayAfterFIFO(t *testing.T) {
+	k := New(1)
+	var order []int
+	at := 700 * time.Microsecond
+	k.After(at, func() {
+		order = append(order, 1)
+		k.After(0, func() {
+			order = append(order, 3)
+			if k.Now() != at {
+				t.Fatalf("zero-delay fired at %v, want %v", k.Now(), at)
+			}
+			k.After(0, func() { order = append(order, 5) })
+		})
+		k.After(0, func() { order = append(order, 4) })
+	})
+	k.After(at, func() { order = append(order, 2) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 5 {
+		t.Fatalf("execution order %v, want 1..5", order)
+	}
+	for i, v := range order {
+		if v != i+1 {
+			t.Fatalf("execution order %v, want 1..5", order)
+		}
+	}
 }

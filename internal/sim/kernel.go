@@ -25,7 +25,7 @@ import (
 type Kernel struct {
 	now      time.Duration
 	seq      uint64
-	sched    timerWheel
+	sched    eventHeap
 	run      fifo.Queue[*Proc]
 	free     freelist.List[event] // recycled event structs
 	arena    []event              // current allocation block (see allocEvent)
@@ -48,7 +48,6 @@ func New(seed int64) *Kernel {
 		yield: make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	k.sched.init()
 	return k
 }
 
@@ -61,7 +60,7 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // PendingEvents returns the number of events currently scheduled. With
 // timers removed from the schedule on Stop, this stays proportional to
 // the genuinely outstanding work, not to cancellation churn.
-func (k *Kernel) PendingEvents() int { return k.sched.Len() }
+func (k *Kernel) PendingEvents() int { return len(k.sched) }
 
 // Timer is a cancellable scheduled callback. The zero Timer is inert:
 // Stop and Active return false. Timers are values; event structs behind
@@ -77,17 +76,17 @@ type Timer struct {
 // reports whether the call prevented the callback from running.
 func (t Timer) Stop() bool {
 	ev := t.ev
-	if ev == nil || ev.gen != t.gen || ev.where == locNone {
+	if ev == nil || ev.gen != t.gen || ev.index < 0 {
 		return false
 	}
-	ev.k.sched.remove(ev)
+	ev.k.sched.remove(ev.index)
 	ev.k.recycle(ev)
 	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.where != locNone
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
 }
 
 // arenaBlock is the number of event structs carved out of one arena
@@ -121,7 +120,6 @@ func (k *Kernel) allocEvent(when time.Duration, fn func()) *event {
 func (k *Kernel) recycle(ev *event) {
 	ev.fn = nil
 	ev.gen++
-	ev.where = locNone
 	ev.index = -1
 	k.free.Put(ev)
 }
@@ -133,7 +131,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	ev := k.allocEvent(k.now+d, fn)
-	k.sched.insert(ev)
+	k.sched.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -205,10 +203,10 @@ func (k *Kernel) dispatch() *Proc {
 			p.state = stateRunning
 			return p
 		}
-		ev := k.sched.pop()
-		if ev == nil {
+		if len(k.sched) == 0 {
 			break
 		}
+		ev := k.sched.pop()
 		k.now = ev.when
 		fn := ev.fn
 		k.recycle(ev)
@@ -270,10 +268,7 @@ func (k *Kernel) RunFor(d time.Duration) error {
 		return err
 	}
 	if k.now < deadline {
-		// Quiesced early: the schedule is empty, so the jump cannot
-		// strand events behind the wheel's current tick.
 		k.now = deadline
-		k.sched.syncNow(deadline)
 	}
 	return nil
 }
@@ -308,9 +303,7 @@ type event struct {
 	seq   uint64
 	fn    func()
 	gen   uint64 // bumped on recycle; stale Timers compare unequal
-	index int    // position within the holding container, -1 when popped
-	slot  int32  // wheel slot when where is locL0/locL1
-	where int8   // which schedule container holds the event (loc*)
+	index int    // position in the schedule heap, -1 when not scheduled
 	k     *Kernel
 }
 
