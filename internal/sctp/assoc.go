@@ -231,6 +231,7 @@ type Assoc struct {
 	initTries      int
 	shutdownTimer  sim.Timer
 	shutdownTries  int
+	shutdownFrom   int // path the peer's last SHUTDOWN arrived on
 	autocloseTimer sim.Timer
 	connCond       *sim.Cond
 
@@ -421,7 +422,7 @@ func (a *Assoc) handlePacket(src, dst netsim.Addr, pkt *packet) {
 		case ctCookieEcho:
 			a.handleCookieEchoOnAssoc(src, dst, c)
 		case ctShutdown:
-			a.handleShutdown(c)
+			a.handleShutdown(src, c)
 		case ctShutdownAck:
 			a.handleShutdownAck(src, dst)
 		case ctShutdownComplete:
@@ -747,6 +748,17 @@ func (a *Assoc) sendSack() {
 	a.sendChunks(src, dst, []*chunk{c})
 }
 
+// pathTo returns the index of the path to the peer address addr, or the
+// active path when addr is none of the peer's.
+func (a *Assoc) pathTo(addr netsim.Addr) int {
+	for i, pt := range a.paths {
+		if pt.addr == addr {
+			return i
+		}
+	}
+	return a.activePath()
+}
+
 // srcFor picks the local source address for a peer destination.
 func (a *Assoc) srcFor(dst netsim.Addr) netsim.Addr {
 	for _, pt := range a.paths {
@@ -870,28 +882,36 @@ func (a *Assoc) maybeProgressShutdown() {
 	switch a.state {
 	case aShutdownPending:
 		a.state = aShutdownSent
-		a.sendShutdown()
+		a.sendShutdown(a.activePath())
 	case aShutdownReceived:
 		a.state = aShutdownAckSent
-		a.sendShutdownAck()
+		a.sendShutdownAck(a.shutdownFrom)
 	}
 }
 
-func (a *Assoc) sendShutdown() {
-	pt := a.paths[a.primary]
+// sendShutdown sends SHUTDOWN on path pi and arms T2-shutdown for it.
+func (a *Assoc) sendShutdown(pi int) {
+	pt := a.paths[pi]
 	a.sendChunks(pt.src, pt.addr, []*chunk{{Type: ctShutdown, CumTSNAck: a.cumTSN}})
-	a.armShutdownTimer(func() { a.sendShutdown() })
+	a.armShutdownTimer(pi, a.sendShutdown)
 }
 
-func (a *Assoc) sendShutdownAck() {
-	pt := a.paths[a.primary]
+// sendShutdownAck sends SHUTDOWN ACK on path pi and arms T2-shutdown
+// for it.
+func (a *Assoc) sendShutdownAck(pi int) {
+	pt := a.paths[pi]
 	a.sendChunks(pt.src, pt.addr, []*chunk{{Type: ctShutdownAck}})
-	a.armShutdownTimer(func() { a.sendShutdownAck() })
+	a.armShutdownTimer(pi, a.sendShutdownAck)
 }
 
-func (a *Assoc) armShutdownTimer(resend func()) {
+// armShutdownTimer arms T2-shutdown for a chunk just sent on path pi.
+// On expiry it backs off pi's RTO and resends on an alternate active
+// path (RFC 4960 §6.4): heartbeats stop once shutdown begins, so a dead
+// primary is never marked inactive, and retransmitting to it alone would
+// ride the backoff to Association.Max.Retrans.
+func (a *Assoc) armShutdownTimer(pi int, resend func(pi int)) {
 	a.shutdownTimer.Stop()
-	a.shutdownTimer = a.kernel().After(a.paths[a.primary].rto, func() {
+	a.shutdownTimer = a.kernel().After(a.paths[pi].rto, func() {
 		if a.state != aShutdownSent && a.state != aShutdownAckSent {
 			return
 		}
@@ -900,21 +920,23 @@ func (a *Assoc) armShutdownTimer(resend func()) {
 			a.fail(ErrTimeout, true)
 			return
 		}
-		// Back off the RTO per retransmission (RFC 4960 §6.3.3 E2),
-		// clamped to RTOMax — the same rule the INIT and T3 timers
+		// Back off the RTO of the path that timed out (RFC 4960 §6.3.3
+		// E2), clamped to RTOMax — the same rule the INIT and T3 timers
 		// follow.
-		pt := a.paths[a.primary]
+		pt := a.paths[pi]
 		pt.rto *= 2
 		if pt.rto > a.cfg.RTOMax {
 			pt.rto = a.cfg.RTOMax
 		}
-		resend()
+		resend(a.rtxPath(pi))
 	})
 }
 
-func (a *Assoc) handleShutdown(c *chunk) {
+func (a *Assoc) handleShutdown(src netsim.Addr, c *chunk) {
 	// The peer will not send more data; ack what we have and finish our
-	// own sending.
+	// own sending. The SHUTDOWN ACK goes back to the address the
+	// SHUTDOWN came from (RFC 4960 §6.4).
+	a.shutdownFrom = a.pathTo(src)
 	a.processSackLikeCum(c.CumTSNAck)
 	switch a.state {
 	case aEstablished, aShutdownPending:
@@ -923,7 +945,7 @@ func (a *Assoc) handleShutdown(c *chunk) {
 	case aShutdownSent:
 		// Simultaneous shutdown: answer with SHUTDOWN-ACK.
 		a.state = aShutdownAckSent
-		a.sendShutdownAck()
+		a.sendShutdownAck(a.shutdownFrom)
 	}
 }
 

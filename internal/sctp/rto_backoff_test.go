@@ -169,3 +169,89 @@ func TestHeartbeatMissBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShutdownLeavesDeadPrimary shuts a multihomed association down
+// after its primary subnet has died. Heartbeats are off, so nothing marks
+// the primary inactive: the first SHUTDOWN goes to it and is lost. The
+// retransmission must go to an alternate address (RFC 4960 §6.4), the
+// SHUTDOWN ACK must go back to the address the SHUTDOWN came from, and
+// the handshake must complete instead of giving up with ErrTimeout.
+func TestShutdownLeavesDeadPrimary(t *testing.T) {
+	cfg := backoffCfg()
+	k, sa, sb, net, nodes := mpair(21, lan(), cfg)
+	srv, _ := sb.SocketConfig(5000, cfg)
+	srv.Listen()
+	k.Spawn("server", func(p *sim.Proc) {
+		for {
+			m, err := srv.RecvMsg(p)
+			if err != nil || m.Notification == NotifyCommLost || m.Notification == NotifyShutdownComplete {
+				return
+			}
+		}
+	})
+
+	type sent struct{ src, dst netsim.Addr }
+	var shutdowns, acks []sent
+	capturing := false
+	net.Trace = func(ev string, pkt *netsim.Packet) {
+		if !capturing || ev != "send" {
+			return
+		}
+		pk, err := decodePacket(append([]byte(nil), pkt.Payload...), false)
+		if err != nil {
+			t.Errorf("decode: %v", err)
+			return
+		}
+		for _, c := range pk.Chunks {
+			switch c.Type {
+			case ctShutdown:
+				shutdowns = append(shutdowns, sent{pkt.Src, pkt.Dst})
+			case ctShutdownAck:
+				acks = append(acks, sent{pkt.Src, pkt.Dst})
+			}
+		}
+	}
+
+	var ended NotificationType
+	var endErr error
+	k.Spawn("client", func(p *sim.Proc) {
+		cli, _ := sa.SocketConfig(0, cfg)
+		id, err := cli.Connect(p, nodes[1].Addrs(), 5000, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		net.SetSubnetDown(0, true)
+		capturing = true
+		cli.CloseAssoc(id)
+		for {
+			m, err := cli.RecvMsg(p)
+			if err != nil {
+				t.Errorf("recv: %v", err)
+				return
+			}
+			if m.Notification == NotifyCommLost || m.Notification == NotifyShutdownComplete {
+				ended, endErr = m.Notification, m.Err
+				return
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ended != NotifyShutdownComplete {
+		t.Fatalf("association ended with notification %d (%v), want a completed shutdown", ended, endErr)
+	}
+	if len(shutdowns) != 2 {
+		t.Fatalf("client sent %d SHUTDOWNs, want 2: %v", len(shutdowns), shutdowns)
+	}
+	if shutdowns[0].dst.Subnet() != 0 {
+		t.Errorf("first SHUTDOWN went to %v, want the primary on subnet 0", shutdowns[0].dst)
+	}
+	if shutdowns[1].dst.Subnet() == 0 {
+		t.Errorf("SHUTDOWN retransmitted to the dead primary %v", shutdowns[1].dst)
+	}
+	if len(acks) != 1 || acks[0].dst != shutdowns[1].src {
+		t.Errorf("SHUTDOWN ACKs %v, want one, to the SHUTDOWN's source %v", acks, shutdowns[1].src)
+	}
+}
