@@ -4,6 +4,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
@@ -14,6 +15,9 @@ import (
 // GC is disabled for the test so the pool round-trip is observable by
 // buffer identity: a recycled buffer comes back out of GetBuf.
 func TestIReasmRecyclesDroppedCopies(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	var ir ireasm
