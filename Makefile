@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test bench paper chaos
+.PHONY: check fmt vet lint build test bench paper chaos reach
 
 # Tier-1 gate: formatting, vet, build, full test suite.
 check:
@@ -54,3 +54,10 @@ chaos:
 	$(GO) run ./cmd/chaos -rpi sctp -seed 1 -events 6 -horizon 50ms -kill -procs 256 -topo fattree -collective bcast -rounds 3 -msgsize 65536
 	$(GO) run ./cmd/chaos -rpi sctp1to1 -seed 8 -events 6 -horizon 50ms -kill -procs 256 -topo fattree -collective bcast -rounds 3 -msgsize 65536
 	$(GO) run ./cmd/chaos -rpi tcp -seed 3 -events 6 -horizon 50ms -kill -procs 256 -topo fattree -collective bcast -rounds 3 -msgsize 65536
+
+# Dead-code gate: every function in internal/ (internal/analysis
+# excepted) that no product run — make paper, benchmark -check, the
+# examples, make chaos — reaches must be listed in scripts/reach.txt with
+# the reason it stays (see scripts/reach.sh).
+reach:
+	./scripts/reach.sh -check

@@ -30,7 +30,7 @@ func main() {
 		events    = flag.Int("events", 5, "fault events per generated schedule")
 		prefix    = flag.Int("prefix", 0, "keep only the first N events (<0: none, 0: all)")
 		procs     = flag.Int("procs", 4, "world size")
-		topology  = flag.String("topo", "", "fabric: fattree or leafspine (empty: full mesh)")
+		topology  = flag.String("topo", "", "fabric: fattree (empty: full mesh)")
 		collectve = flag.String("collective", "", "collective corpus: bcast or allreduce (empty: ring workload)")
 		algName   = flag.String("alg", "", "collective algorithm family: tree, naive, or multicast (default)")
 		msgSize   = flag.Int("msgsize", 0, "payload bytes per message/collective (0: default 4 KiB)")

@@ -39,10 +39,10 @@ type Spec struct {
 	Multihome bool // three interfaces per node, heartbeats on
 	LossRate  float64
 
-	// Topology, when non-empty ("fattree" or "leafspine"), replaces the
-	// full-mesh testbed with a generated multi-hop fabric sized to
-	// Procs, so faults land on a network with shared switch ports and
-	// real queueing. Mutually exclusive with Multihome.
+	// Topology, when non-empty ("fattree"), replaces the full-mesh
+	// testbed with a generated multi-hop fabric sized to Procs, so
+	// faults land on a network with shared switch ports and real
+	// queueing. Mutually exclusive with Multihome.
 	Topology string
 
 	Rounds    int // ring-exchange rounds (default 10)

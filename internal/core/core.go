@@ -99,9 +99,9 @@ type Options struct {
 	Link     *netsim.LinkParams // link-parameter override (default: 1 Gb/s LAN)
 
 	// Topo, when non-nil, replaces the full-mesh testbed with a
-	// generated multi-hop topology (fat-tree or leaf-spine) sized to
-	// Procs: packets traverse switch ports with per-hop serialization
-	// and queueing, so N-to-1 incast contention is expressible. Mutually
+	// generated multi-hop topology (a fat-tree) sized to Procs: packets
+	// traverse switch ports with per-hop serialization and queueing, so
+	// N-to-1 incast contention is expressible. Mutually
 	// exclusive with IfacesPerNode > 1 (no multihoming on fabrics). A
 	// Link override styles both host and fabric ports unless the config
 	// sets them explicitly.

@@ -18,7 +18,6 @@ package daemon
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/netsim"
 	"repro/internal/sctp"
@@ -107,17 +106,6 @@ type Daemon struct {
 
 	pending map[uint64]*pendingReq // outstanding requests by Seq
 	nextSeq uint64
-
-	stats DaemonStats
-}
-
-// DaemonStats counts daemon activity.
-type DaemonStats struct {
-	Registered int64
-	Exited     int64
-	Aborts     int64
-	IOLines    int64
-	Pings      int64
 }
 
 type pendingReq struct {
@@ -145,12 +133,6 @@ func Start(stack *sctp.Stack) (*Daemon, error) {
 	return d, nil
 }
 
-// Node returns the daemon's node.
-func (d *Daemon) Node() *netsim.Node { return d.node }
-
-// Stats returns a copy of the daemon counters.
-func (d *Daemon) Stats() DaemonStats { return d.stats }
-
 // drain processes everything queued on the daemon socket.
 func (d *Daemon) drain() {
 	for {
@@ -173,7 +155,6 @@ func (d *Daemon) handle(from sctp.AssocID, m *msg) {
 	switch m.Kind {
 	case mkRegister:
 		d.procs = append(d.procs, procEntry{job: m.Job, rank: m.Rank})
-		d.stats.Registered++
 	case mkExit:
 		for i, p := range d.procs {
 			if p.job == m.Job && p.rank == m.Rank {
@@ -181,7 +162,6 @@ func (d *Daemon) handle(from sctp.AssocID, m *msg) {
 				break
 			}
 		}
-		d.stats.Exited++
 	case mkStatusReq:
 		n := int32(0)
 		for _, p := range d.procs {
@@ -202,7 +182,6 @@ func (d *Daemon) handle(from sctp.AssocID, m *msg) {
 		kept := d.procs[:0]
 		for _, p := range d.procs {
 			if p.job == m.Job {
-				d.stats.Aborts++
 				if p.onKill != nil {
 					p.onKill()
 				}
@@ -213,9 +192,7 @@ func (d *Daemon) handle(from sctp.AssocID, m *msg) {
 		d.procs = kept
 	case mkIOWrite:
 		d.ioLines[m.Job] = append(d.ioLines[m.Job], m.Text)
-		d.stats.IOLines++
 	case mkPing:
-		d.stats.Pings++
 		d.reply(from, &msg{Kind: mkPong, Seq: m.Seq})
 	}
 }
@@ -229,29 +206,6 @@ func (d *Daemon) reply(to sctp.AssocID, m *msg) {
 // network traffic (the local lamd case) and installs its abort hook.
 func (d *Daemon) RegisterLocal(job uint32, rank int, onKill func()) {
 	d.procs = append(d.procs, procEntry{job: job, rank: int32(rank), onKill: onKill})
-	d.stats.Registered++
-}
-
-// ExitLocal removes a locally registered process.
-func (d *Daemon) ExitLocal(job uint32, rank int) {
-	for i, p := range d.procs {
-		if p.job == job && p.rank == int32(rank) {
-			d.procs = append(d.procs[:i], d.procs[i+1:]...)
-			d.stats.Exited++
-			return
-		}
-	}
-}
-
-// LiveProcs returns how many processes of job are registered here.
-func (d *Daemon) LiveProcs(job uint32) int {
-	n := 0
-	for _, p := range d.procs {
-		if p.job == job {
-			n++
-		}
-	}
-	return n
 }
 
 // IOLines returns output forwarded to this daemon for job.
@@ -348,9 +302,4 @@ func (c *Client) ForwardIO(p *sim.Proc, addr netsim.Addr, job uint32, line strin
 		return err
 	}
 	return c.d.sock.SendMsg(p, id, 0, 0, (&msg{Kind: mkIOWrite, Job: job, Text: line}).encode())
-}
-
-// String describes the daemon for logs.
-func (d *Daemon) String() string {
-	return fmt.Sprintf("lamd@%s(%d procs)", d.node.Name(), len(d.procs))
 }

@@ -585,25 +585,6 @@ func (c *Comm) Alltoallv(send []byte, sendCounts, sendOffs []int, recv []byte, r
 	return c.pr.WaitAll(reqs...)
 }
 
-// SendRecvColl is SendRecv on the collective context.
-func (c *Comm) SendRecvColl(dest int, sendData []byte, src int, recvBuf []byte) (Status, error) {
-	wd, err := c.worldOf(dest)
-	if err != nil {
-		return Status{}, err
-	}
-	ws, err := c.worldOf(src)
-	if err != nil {
-		return Status{}, err
-	}
-	sreq := c.pr.isend(wd, tagAlltoall, c.ctx+1, sendData, false)
-	rreq := c.pr.irecv(ws, tagAlltoall, c.ctx+1, recvBuf)
-	if _, err := c.pr.waitFree(sreq); err != nil {
-		return Status{}, err
-	}
-	st, err := c.pr.waitFree(rreq)
-	return c.fixStatus(st), err
-}
-
 // AllgatherI64 is a convenience Allgather over int64 slices (used by
 // Split and by benchmarks).
 func (c *Comm) AllgatherI64(send []int64, recv []int64) error {

@@ -25,9 +25,6 @@ func (c *Comm) Rank() int { return c.myrank }
 // Size returns the number of processes in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// Process returns the owning middleware process.
-func (c *Comm) Process() *Process { return c.pr }
-
 // Context returns the point-to-point context id (for diagnostics).
 func (c *Comm) Context() int32 { return c.ctx }
 

@@ -65,9 +65,6 @@ type Request struct {
 	sentFn func()
 }
 
-// Status returns the completion status; valid once Done.
-func (r *Request) Status() Status { return r.status }
-
 func (r *Request) complete(err error) {
 	r.Done = true
 	if err != nil && r.Err == nil {
@@ -182,21 +179,6 @@ func (pr *Process) Finalize() error {
 	pr.rpi.Finalize(pr.P)
 	return nil
 }
-
-// Rank returns the world rank.
-func (pr *Process) Rank() int { return pr.rank }
-
-// Size returns the world size.
-func (pr *Process) Size() int { return pr.size }
-
-// World returns the world communicator.
-func (pr *Process) World() *Comm { return pr.world }
-
-// Wtime returns elapsed virtual time in seconds, like MPI_Wtime.
-func (pr *Process) Wtime() float64 { return pr.P.Now().Seconds() }
-
-// RPI exposes the underlying progression module (for statistics).
-func (pr *Process) RPI() rpi.RPI { return pr.rpi }
 
 // --- send path -------------------------------------------------------
 

@@ -158,9 +158,6 @@ func New(node *netsim.Node, group netsim.Addr, rank int, addrs []netsim.Addr, op
 	return e
 }
 
-// Rank returns the endpoint's world rank.
-func (e *Endpoint) Rank() int { return e.rank }
-
 // Epoch returns the current group epoch (bumped once per abort).
 func (e *Endpoint) Epoch() uint32 { return e.epoch }
 

@@ -76,9 +76,6 @@ func (e *Engine) Fail(err error) {
 	e.Notify()
 }
 
-// Err returns the sticky terminal error, if any.
-func (e *Engine) Err() error { return e.err }
-
 // CountSend records one outbound message of n body bytes and charges
 // the send-side CPU cost.
 func (e *Engine) CountSend(n int) {

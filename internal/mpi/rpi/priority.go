@@ -27,16 +27,3 @@ func ClassFor(k Kind) uint8 {
 		return ClassControl
 	}
 }
-
-// WeightFor maps a class to a weighted-fair share, for schedulers that
-// divide bandwidth instead of ranking it: control 8, eager 4, bulk 1.
-func WeightFor(class uint8) int {
-	switch class {
-	case ClassControl:
-		return 8
-	case ClassEager:
-		return 4
-	default:
-		return 1
-	}
-}

@@ -48,20 +48,6 @@ const (
 	SessReplay
 )
 
-func (s SessState) String() string {
-	switch s {
-	case SessUp:
-		return "up"
-	case SessSuspect:
-		return "suspect"
-	case SessReconnecting:
-		return "reconnecting"
-	case SessReplay:
-		return "replay"
-	}
-	return "?"
-}
-
 // Session recovery tuning. The backoff base/cap are deliberately
 // aggressive for a LAN: the first redial is immediate (the transport
 // itself fails fast on a dead endpoint), later ones back off
@@ -164,9 +150,6 @@ type Session struct {
 	dialing      bool          // a redial attempt is in flight
 	pendingEpoch uint32        // epoch proposed in our outstanding Reconnect
 }
-
-// Retention returns the number of retained (unacknowledged) messages.
-func (s *Session) Retention() int { return len(s.retain) }
 
 // Sessions manages per-peer recovery state for one module.
 type Sessions struct {

@@ -168,18 +168,15 @@ func (m *Module) trySend(key rpi.MsgKey, ppid uint32, data []byte) error {
 }
 
 // stampClass tells a chunk-interleaving transport scheduler what this
-// stream is about to carry: the priority class (or weighted share)
-// derived from the message kind. Every message stamps again: the calls
-// are O(1) and idempotent, and an in-place restart (RFC 4960 §5.2)
-// resets the association's stream schedule while keeping its id, so a
-// cache keyed by association id would go stale on the surviving side.
-// On legacy or FIFO/RR associations nothing is stamped.
+// stream is about to carry: the priority class derived from the message
+// kind. Every message stamps again: the calls are O(1) and idempotent,
+// and an in-place restart (RFC 4960 §5.2) resets the association's
+// stream schedule while keeping its id, so a cache keyed by association
+// id would go stale on the surviving side.
+// On legacy or FIFO associations nothing is stamped.
 func (m *Module) stampClass(key rpi.MsgKey, kind rpi.Kind) {
-	switch m.sched {
-	case sctp.SchedPriority:
+	if m.sched == sctp.SchedPriority {
 		_ = m.sock.SetStreamPriority(m.assocByRank[key.Rank], key.Stream, rpi.ClassFor(kind))
-	case sctp.SchedWeightedFair:
-		_ = m.sock.SetStreamWeight(m.assocByRank[key.Rank], key.Stream, rpi.WeightFor(rpi.ClassFor(kind)))
 	}
 }
 

@@ -261,7 +261,6 @@ type Stats struct {
 type Network struct {
 	K       *sim.Kernel
 	def     LinkParams
-	nodes   []*Node
 	routes  map[Addr]*Iface
 	pipes   map[pipeKey]*Pipe
 	perPair map[pipeKey]LinkParams
@@ -297,9 +296,6 @@ func (n *Network) SetDefaultLinkParams(lp LinkParams) {
 		}
 	}
 }
-
-// DefaultLinkParamsValue returns the current defaults.
-func (n *Network) DefaultLinkParamsValue() LinkParams { return n.def }
 
 // SetLoss sets the Bernoulli loss rate on every pipe, existing and
 // future, mirroring a cluster-wide Dummynet plr setting.
@@ -370,16 +366,8 @@ func (n *Network) UpdateLinkParamsBetween(src, dst Addr, mutate func(lp *LinkPar
 
 // NewNode adds a node named name.
 func (n *Network) NewNode(name string) *Node {
-	node := &Node{net: n, name: name, protos: make(map[uint8]Handler)}
-	n.nodes = append(n.nodes, node)
-	return node
+	return &Node{net: n, name: name, protos: make(map[uint8]Handler)}
 }
-
-// Nodes returns all nodes in creation order.
-func (n *Network) Nodes() []*Node { return n.nodes }
-
-// Lookup returns the interface owning addr, or nil.
-func (n *Network) Lookup(addr Addr) *Iface { return n.routes[addr] }
 
 // SetIfaceDown marks the interface with the given address down (or up).
 // Packets to or from a down interface are silently dropped, as with an
@@ -638,17 +626,13 @@ func (p *Pipe) SetParams(lp LinkParams) { p.params = lp }
 // the same way it does on a mesh pipe.
 type Port struct {
 	Pipe
-	name string
 }
-
-// Name returns the port's topology-assigned name (for diagnostics).
-func (p *Port) Name() string { return p.name }
 
 // NewPort registers a directed port with the given parameters. Ports
 // participate in UpdateLinkParams and SetLoss like pipes do, so the
 // chaos scheduler's link mutations reach generated topologies.
-func (n *Network) NewPort(name string, lp LinkParams) *Port {
-	p := &Port{Pipe: Pipe{params: lp}, name: name}
+func (n *Network) NewPort(lp LinkParams) *Port {
+	p := &Port{Pipe: Pipe{params: lp}}
 	n.ports = append(n.ports, p)
 	return p
 }
@@ -847,9 +831,6 @@ type Node struct {
 	protos map[uint8]Handler
 }
 
-// Name returns the node name.
-func (nd *Node) Name() string { return nd.name }
-
 // Network returns the owning network.
 func (nd *Node) Network() *Network { return nd.net }
 
@@ -867,9 +848,6 @@ func (nd *Node) AddInterface(addr Addr) *Iface {
 	return ifc
 }
 
-// Interfaces returns the node's interfaces in creation order.
-func (nd *Node) Interfaces() []*Iface { return nd.ifaces }
-
 // Addrs returns the addresses of all the node's interfaces.
 func (nd *Node) Addrs() []Addr {
 	out := make([]Addr, len(nd.ifaces))
@@ -884,16 +862,6 @@ func (nd *Node) Addr() Addr { return nd.ifaces[0].addr }
 
 // Handle registers the handler for an IP protocol number.
 func (nd *Node) Handle(proto uint8, h Handler) { nd.protos[proto] = h }
-
-// Owns reports whether addr belongs to one of the node's interfaces.
-func (nd *Node) Owns(addr Addr) bool {
-	for _, ifc := range nd.ifaces {
-		if ifc.addr == addr {
-			return true
-		}
-	}
-	return false
-}
 
 // MTU returns the payload MTU for packets sent from src to dst: the
 // minimum along the routed path in a generated topology, the per-pair
@@ -954,12 +922,6 @@ type Iface struct {
 
 // Addr returns the interface address.
 func (i *Iface) Addr() Addr { return i.addr }
-
-// Node returns the owning node.
-func (i *Iface) Node() *Node { return i.node }
-
-// Down reports whether the interface is administratively down.
-func (i *Iface) Down() bool { return i.down }
 
 // Cluster builds the paper's testbed: n nodes, each with ifacesPerNode
 // interfaces on distinct subnets (three in the paper), full-mesh

@@ -51,21 +51,20 @@ func buildFatTree(k *sim.Kernel, hosts, radix int, hostLP, fabricLP netsim.LinkP
 	ft := &fatTree{k: radix, hosts: hosts, hostUp: hostUp}
 	ft.hostDown = make([]*netsim.Port, hosts)
 	for h := 0; h < hosts; h++ {
-		ft.hostDown[h] = net.NewPort(fmt.Sprintf("e%d-h%d", h/half, h), hostLP)
+		ft.hostDown[h] = net.NewPort(hostLP)
 	}
 	nEdge := radix * half // == nAgg
 	ft.edgeUp = make([][]*netsim.Port, nEdge)
 	ft.aggDown = make([][]*netsim.Port, nEdge)
 	ft.aggUp = make([][]*netsim.Port, nEdge)
 	for i := 0; i < nEdge; i++ {
-		pod := i / half
 		ft.edgeUp[i] = make([]*netsim.Port, half)
 		ft.aggDown[i] = make([]*netsim.Port, half)
 		ft.aggUp[i] = make([]*netsim.Port, half)
 		for j := 0; j < half; j++ {
-			ft.edgeUp[i][j] = net.NewPort(fmt.Sprintf("p%de%d-a%d", pod, i%half, j), fabricLP)
-			ft.aggDown[i][j] = net.NewPort(fmt.Sprintf("p%da%d-e%d", pod, i%half, j), fabricLP)
-			ft.aggUp[i][j] = net.NewPort(fmt.Sprintf("p%da%d-c%d", pod, i%half, (i%half)*half+j), fabricLP)
+			ft.edgeUp[i][j] = net.NewPort(fabricLP)
+			ft.aggDown[i][j] = net.NewPort(fabricLP)
+			ft.aggUp[i][j] = net.NewPort(fabricLP)
 		}
 	}
 	nCore := half * half
@@ -73,7 +72,7 @@ func buildFatTree(k *sim.Kernel, hosts, radix int, hostLP, fabricLP netsim.LinkP
 	for c := 0; c < nCore; c++ {
 		ft.coreDown[c] = make([]*netsim.Port, radix)
 		for pod := 0; pod < radix; pod++ {
-			ft.coreDown[c][pod] = net.NewPort(fmt.Sprintf("c%d-p%d", c, pod), fabricLP)
+			ft.coreDown[c][pod] = net.NewPort(fabricLP)
 		}
 	}
 	net.SetRouter(ft)

@@ -116,26 +116,3 @@ func TestFatTreeMulticastSubtreeLoss(t *testing.T) {
 		t.Fatalf("losses = %d, want 1 (only host 5's last hop)", n.Network.Stats.PacketsLost)
 	}
 }
-
-// TestLeafSpineMulticastFanOut runs the same world-group fan-out over a
-// leaf-spine fabric: same-leaf members replicate at the leaf without
-// touching a spine, so deliveries again exceed wire sends.
-func TestLeafSpineMulticastFanOut(t *testing.T) {
-	k, n, group, got := buildMcastFabric(t, 1, 48, Config{Kind: LeafSpine})
-	src := n.Hosts[0]
-	k.After(0, func() {
-		src.Send(&netsim.Packet{Src: src.Addr(), Dst: group, Proto: 99, Payload: []byte("mc")})
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for h := 1; h < len(got); h++ {
-		if got[h] != 1 {
-			t.Fatalf("host %d got %d copies, want 1", h, got[h])
-		}
-	}
-	st := n.Network.Stats
-	if st.PacketsMcast != 1 || st.McastDeliveries != 47 {
-		t.Fatalf("mcast/deliveries = %d/%d, want 1/47", st.PacketsMcast, st.McastDeliveries)
-	}
-}

@@ -1,8 +1,8 @@
 // Package topo generates multi-hop data-centre topologies — k-ary
-// fat-trees and leaf-spine fabrics — on top of netsim's Router/Port
-// machinery. Switches are not netsim nodes: a route is the ordered list
-// of directed egress ports a packet serializes through, so only hosts
-// carry protocol stacks and the fabric stays cheap at 1024 hosts.
+// fat-trees — on top of netsim's Router/Port machinery. Switches are
+// not netsim nodes: a route is the ordered list of directed egress
+// ports a packet serializes through, so only hosts carry protocol
+// stacks and the fabric stays cheap at 1024 hosts.
 //
 // Path selection is deterministic ECMP: the uplink at each stage is an
 // arithmetic hash of (src, dst), so a flow always takes the same path
@@ -27,31 +27,14 @@ const (
 	// k/2 aggregation switches, (k/2)^2 cores, k^3/4 hosts, full
 	// bisection bandwidth.
 	FatTree Kind = iota
-	// LeafSpine is a two-tier Clos: every leaf connects to every
-	// spine; hosts hang off leaves.
-	LeafSpine
 )
 
-func (k Kind) String() string {
-	switch k {
-	case FatTree:
-		return "fattree"
-	case LeafSpine:
-		return "leafspine"
-	}
-	return "?"
-}
-
-// ParseKind resolves a command-line topology name ("fattree",
-// "leafspine").
+// ParseKind resolves a command-line topology name ("fattree").
 func ParseKind(name string) (Kind, error) {
-	switch name {
-	case "fattree":
+	if name == "fattree" {
 		return FatTree, nil
-	case "leafspine":
-		return LeafSpine, nil
 	}
-	return 0, fmt.Errorf("topo: unknown topology %q (have fattree, leafspine)", name)
+	return 0, fmt.Errorf("topo: unknown topology %q (have fattree)", name)
 }
 
 // Config describes a generated topology. Zero structural fields are
@@ -63,11 +46,6 @@ type Config struct {
 	// K is the fat-tree switch radix (even). 0 auto-sizes to the
 	// smallest radix whose k^3/4 host capacity fits the job.
 	K int
-
-	// Leaves/Spines/HostsPerLeaf shape a leaf-spine fabric. Zero
-	// auto-sizes: hostsPerLeaf defaults to 16, leaves to fit the job,
-	// spines to leaves/2 (2:1 oversubscription), minimum 2.
-	Leaves, Spines, HostsPerLeaf int
 
 	// HostLink styles host NIC and switch-to-host ports; FabricLink
 	// styles switch-to-switch ports. Nil uses netsim defaults with a
@@ -108,13 +86,10 @@ func Build(k *sim.Kernel, hosts int, cfg Config) (*Net, error) {
 	if cfg.FabricLink != nil {
 		fabricLP = *cfg.FabricLink
 	}
-	switch cfg.Kind {
-	case FatTree:
-		return buildFatTree(k, hosts, cfg.K, hostLP, fabricLP)
-	case LeafSpine:
-		return buildLeafSpine(k, hosts, cfg, hostLP, fabricLP)
+	if cfg.Kind != FatTree {
+		return nil, fmt.Errorf("topo: unknown kind %d", int(cfg.Kind))
 	}
-	return nil, fmt.Errorf("topo: unknown kind %d", int(cfg.Kind))
+	return buildFatTree(k, hosts, cfg.K, hostLP, fabricLP)
 }
 
 // newHosts creates the host nodes with contiguous rank-ordered
@@ -126,7 +101,7 @@ func newHosts(net *netsim.Network, hosts int, hostLP netsim.LinkParams) ([]*nets
 		nd := net.NewNode(fmt.Sprintf("h%d", h))
 		nd.AddInterface(netsim.MakeAddr(0, h+1))
 		nodes[h] = nd
-		up[h] = net.NewPort(fmt.Sprintf("h%d-up", h), hostLP)
+		up[h] = net.NewPort(hostLP)
 	}
 	return nodes, up
 }

@@ -183,39 +183,6 @@ func TestFatTreeIncast(t *testing.T) {
 	}
 }
 
-func TestLeafSpine(t *testing.T) {
-	k := sim.New(1)
-	n, err := Build(k, 48, Config{Kind: LeafSpine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 48 hosts / 16 per leaf = 3 leaves, spines = max(2, 3/2) = 2... spines=1? leaves/2=1 -> min 2.
-	if n.Switches != 3+2 {
-		t.Fatalf("leaf-spine has %d switches, want 5", n.Switches)
-	}
-	r := n.Network.RouterValue()
-	same := r.Route(n.Hosts[0].Addr(), n.Hosts[1].Addr())
-	if len(same) != 2 {
-		t.Fatalf("same-leaf route has %d hops, want 2", len(same))
-	}
-	cross := r.Route(n.Hosts[0].Addr(), n.Hosts[40].Addr())
-	if len(cross) != 4 {
-		t.Fatalf("cross-leaf route has %d hops, want 4", len(cross))
-	}
-	var got bool
-	n.Hosts[40].Handle(netsim.ProtoSCTP, func(pkt *netsim.Packet, ifc *netsim.Iface) { got = true })
-	k.After(0, func() {
-		src := n.Hosts[0]
-		src.Send(&netsim.Packet{Src: src.Addr(), Dst: n.Hosts[40].Addr(), Proto: netsim.ProtoSCTP, Payload: []byte{1}})
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("leaf-spine packet not delivered")
-	}
-}
-
 // TestTopoDeterminism runs the same incast twice and checks the event
 // outcome is bit-identical (no RNG draws, no map iteration in routing).
 func TestTopoDeterminism(t *testing.T) {

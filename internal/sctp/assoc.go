@@ -224,16 +224,15 @@ type Assoc struct {
 	sackScratch chunk // reused by buildSack; dead once encoded
 	lastDataSrc netsim.Addr
 
-	assocErrors    int
-	reqStreams     int
-	cookie         []byte
-	initTimer      sim.Timer
-	initTries      int
-	shutdownTimer  sim.Timer
-	shutdownTries  int
-	shutdownFrom   int // path the peer's last SHUTDOWN arrived on
-	autocloseTimer sim.Timer
-	connCond       *sim.Cond
+	assocErrors   int
+	reqStreams    int
+	cookie        []byte
+	initTimer     sim.Timer
+	initTries     int
+	shutdownTimer sim.Timer
+	shutdownTries int
+	shutdownFrom  int // path the peer's last SHUTDOWN arrived on
+	connCond      *sim.Cond
 
 	stats Stats
 }
@@ -247,9 +246,6 @@ func (a *Assoc) ID() AssocID { return a.id }
 // PrimaryPath returns the current primary destination address.
 func (a *Assoc) PrimaryPath() netsim.Addr { return a.paths[a.primary].addr }
 
-// PeerAddrs returns the peer's addresses.
-func (a *Assoc) PeerAddrs() []netsim.Addr { return a.peerAddrs }
-
 // PathActive reports whether the path to addr is active.
 func (a *Assoc) PathActive(addr netsim.Addr) bool {
 	for _, pt := range a.paths {
@@ -259,9 +255,6 @@ func (a *Assoc) PathActive(addr netsim.Addr) bool {
 	}
 	return false
 }
-
-// Established reports whether the association is fully set up.
-func (a *Assoc) Established() bool { return a.state == aEstablished }
 
 // NumOutStreams returns the negotiated number of outbound streams.
 func (a *Assoc) NumOutStreams() int { return a.numOut }
@@ -380,7 +373,6 @@ func (a *Assoc) outPending() int {
 func (a *Assoc) establish() {
 	a.state = aEstablished
 	a.startHeartbeats()
-	a.resetAutoclose()
 	a.notify(NotifyCommUp, nil)
 	a.connCond.Broadcast()
 	a.sndCond.Broadcast()
@@ -392,7 +384,6 @@ func (a *Assoc) handlePacket(src, dst netsim.Addr, pkt *packet) {
 		return
 	}
 	a.stats.PacketsRcvd++
-	a.resetAutoclose()
 	hadData := false
 	for _, c := range pkt.Chunks {
 		switch c.Type {
@@ -780,19 +771,6 @@ func (a *Assoc) sendChunks(src, dst netsim.Addr, chunks []*chunk) {
 	})
 }
 
-// resetAutoclose restarts the autoclose timer, if configured.
-func (a *Assoc) resetAutoclose() {
-	if a.cfg.Autoclose <= 0 {
-		return
-	}
-	a.autocloseTimer.Stop()
-	a.autocloseTimer = a.kernel().After(a.cfg.Autoclose, func() {
-		if a.state == aEstablished && a.outPending() == 0 && a.inflight.Len() == 0 {
-			a.gracefulClose()
-		}
-	})
-}
-
 // fail terminates the association with an error.
 func (a *Assoc) fail(err error, sendAbort bool) {
 	if a.state == aDone {
@@ -834,7 +812,6 @@ func (a *Assoc) teardown() {
 	a.releaseQueued()
 	a.initTimer.Stop()
 	a.sackTimer.Stop()
-	a.autocloseTimer.Stop()
 	a.shutdownTimer.Stop()
 	for _, pt := range a.paths {
 		pt.t3.Stop()

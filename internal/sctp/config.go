@@ -42,8 +42,6 @@ type Config struct {
 	HBInterval      time.Duration // heartbeat interval for idle paths (default 30 s)
 	HBDisable       bool
 
-	Autoclose time.Duration // close idle associations (0 = off)
-
 	// ChecksumVerify enables CRC32c verification on receive. The paper
 	// turned the CRC off in the kernel so checksum cost would not skew
 	// results; the default here mirrors that (checksums are still

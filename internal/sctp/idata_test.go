@@ -135,7 +135,7 @@ func TestIDataLegacyInterop(t *testing.T) {
 // scheduler policy; whatever the send-side interleaving order,
 // per-stream MID delivery order and payload integrity must hold.
 func TestIDataSchedulers(t *testing.T) {
-	for i, pol := range []SchedPolicy{SchedFIFO, SchedRoundRobin, SchedWeightedFair, SchedPriority} {
+	for i, pol := range []SchedPolicy{SchedFIFO, SchedPriority} {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := Config{
 				IData:     true,
@@ -152,7 +152,7 @@ func TestIDataSchedulers(t *testing.T) {
 // TestIDataSchedulersUnderLoss repeats the scheduler matrix on a
 // lossy link, exercising retransmission of transmit-time-TSN chunks.
 func TestIDataSchedulersUnderLoss(t *testing.T) {
-	for i, pol := range []SchedPolicy{SchedFIFO, SchedRoundRobin, SchedWeightedFair, SchedPriority} {
+	for i, pol := range []SchedPolicy{SchedFIFO, SchedPriority} {
 		t.Run(pol.String(), func(t *testing.T) {
 			lp := lan()
 			lp.LossRate = 0.03
@@ -282,7 +282,7 @@ func TestIDataPriorityPreemption(t *testing.T) {
 // interleaving and a non-trivial scheduler in play.
 func TestIDataDeterminism(t *testing.T) {
 	run := func() string {
-		cfg := Config{IData: true, HBDisable: true, Scheduler: SchedWeightedFair, SndBuf: 220 << 10, RcvBuf: 220 << 10}
+		cfg := Config{IData: true, HBDisable: true, Scheduler: SchedPriority, SndBuf: 220 << 10, RcvBuf: 220 << 10}
 		k, sa, sb, _ := pair(150, lan(), cfg)
 		srv, _ := sb.SocketConfig(5000, cfg)
 		srv.Listen()

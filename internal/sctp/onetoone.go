@@ -21,7 +21,6 @@ var _ transport.Endpoint = (*Conn)(nil)
 type Conn struct {
 	sock  *Socket
 	assoc AssocID
-	peer  netsim.Addr
 }
 
 // Dial establishes a one-to-one association with the peer reachable at
@@ -37,7 +36,7 @@ func (s *Stack) Dial(p *sim.Proc, raddrs []netsim.Addr, rport uint16, streams in
 		sk.Close()
 		return nil, err
 	}
-	return &Conn{sock: sk, assoc: id, peer: raddrs[0]}, nil
+	return &Conn{sock: sk, assoc: id}, nil
 }
 
 // OneToOneListener accepts inbound associations, handing each out as
@@ -92,7 +91,7 @@ func (l *OneToOneListener) TryAccept() (*Conn, error) {
 	for i := 0; i < rq.Len(); i++ {
 		if m := rq.At(i); m.Notification == NotifyCommUp {
 			rq.RemoveAt(i)
-			c := &Conn{sock: l.sock, assoc: m.Assoc, peer: m.Peer}
+			c := &Conn{sock: l.sock, assoc: m.Assoc}
 			l.sock.ReleaseMsg(m)
 			return c, nil
 		}
@@ -180,12 +179,6 @@ func (c *Conn) RecvMsg(p *sim.Proc) (*Message, error) {
 		c.sock.rcvCond.Wait(p)
 	}
 }
-
-// Peer returns the peer's primary address.
-func (c *Conn) Peer() netsim.Addr { return c.peer }
-
-// Assoc returns the underlying association id.
-func (c *Conn) Assoc() AssocID { return c.assoc }
 
 // NumStreams returns the negotiated outbound stream count.
 func (c *Conn) NumStreams() int {

@@ -11,14 +11,6 @@ const (
 	// behavior, kept as the default so interleaving alone never changes
 	// wire ordering.
 	SchedFIFO SchedPolicy = iota
-	// SchedRoundRobin serves the active streams one chunk at a time in
-	// rotation, so no backlogged stream waits more than one chunk per
-	// competitor.
-	SchedRoundRobin
-	// SchedWeightedFair is byte-based deficit round robin: each active
-	// stream earns weight×quantum bytes of credit per round and sends
-	// while its credit covers the head chunk.
-	SchedWeightedFair
 	// SchedPriority always serves the runnable stream with the lowest
 	// class value (0 is highest priority), round-robining among equals.
 	SchedPriority
@@ -28,10 +20,6 @@ func (p SchedPolicy) String() string {
 	switch p {
 	case SchedFIFO:
 		return "fifo"
-	case SchedRoundRobin:
-		return "rr"
-	case SchedWeightedFair:
-		return "wfq"
 	case SchedPriority:
 		return "prio"
 	default:
@@ -39,18 +27,10 @@ func (p SchedPolicy) String() string {
 	}
 }
 
-// schedQuantum is the byte credit one weight unit earns per
-// weighted-fair round. It is at least one MTU so every visit can make
-// progress on a full-size fragment.
-const schedQuantum = 1500
-
 // streamQ is one stream's send queue plus its scheduling parameters.
 type streamQ struct {
-	id      uint16
-	q       []*outChunk
-	prio    uint8 // SchedPriority class; 0 is most urgent
-	weight  int   // SchedWeightedFair share; >= 1
-	deficit int   // DRR byte credit
+	q    []*outChunk
+	prio uint8 // SchedPriority class; 0 is most urgent
 }
 
 func (sq *streamQ) empty() bool { return len(sq.q) == 0 }
@@ -82,25 +62,13 @@ type sched struct {
 }
 
 func newSched(policy SchedPolicy, streams int) *sched {
-	s := &sched{policy: policy, streams: make([]streamQ, streams)}
-	for i := range s.streams {
-		s.streams[i].id = uint16(i)
-		s.streams[i].weight = 1
-	}
-	return s
+	return &sched{policy: policy, streams: make([]streamQ, streams)}
 }
 
 // pending returns the number of chunks queued for first transmission.
 func (s *sched) pending() int { return s.npend }
 
 func (s *sched) setPriority(stream uint16, prio uint8) { s.streams[stream].prio = prio }
-
-func (s *sched) setWeight(stream uint16, w int) {
-	if w < 1 {
-		w = 1
-	}
-	s.streams[stream].weight = w
-}
 
 func (s *sched) push(stream uint16, oc *outChunk) {
 	s.npend++
@@ -145,45 +113,18 @@ func (s *sched) selectNext() *outChunk {
 		}
 		return oc
 	}
-	switch s.policy {
-	case SchedRoundRobin:
-		return s.serveActive(0)
-	case SchedPriority:
-		best := 0
-		for i, sq := range s.active {
-			if sq.prio < s.active[best].prio {
-				best = i
-			}
-		}
-		return s.serveActive(best)
-	default: // SchedWeightedFair
-		for {
-			sq := s.active[0]
-			if sq.deficit >= sq.q[0].size {
-				sq.deficit -= sq.q[0].size
-				oc := sq.popFront()
-				if sq.empty() {
-					// Standard DRR: an idle stream banks no credit.
-					sq.deficit = 0
-					s.active = s.active[1:]
-				}
-				return oc
-			}
-			// Head chunk not covered: grant this round's credit and
-			// rotate. Credit grows every full rotation, so the loop
-			// terminates for any chunk size.
-			sq.deficit += sq.weight * schedQuantum
-			s.active = append(s.active[1:], sq)
+	// SchedPriority: pop one chunk from the first most urgent active
+	// stream and rotate that stream to the tail (dropping it when
+	// drained), so equal classes share chunk by chunk in round robin.
+	best := 0
+	for i, sq := range s.active {
+		if sq.prio < s.active[best].prio {
+			best = i
 		}
 	}
-}
-
-// serveActive pops one chunk from active[i] and rotates that stream to
-// the tail (dropping it when drained) — chunk-granular round robin.
-func (s *sched) serveActive(i int) *outChunk {
-	sq := s.active[i]
+	sq := s.active[best]
 	oc := sq.popFront()
-	s.active = append(s.active[:i], s.active[i+1:]...)
+	s.active = append(s.active[:best], s.active[best+1:]...)
 	if !sq.empty() {
 		s.active = append(s.active, sq)
 	}
@@ -210,7 +151,6 @@ func (s *sched) drain(f func(*outChunk)) {
 			f(oc)
 		}
 		sq.q = nil
-		sq.deficit = 0
 	}
 	s.active = s.active[:0]
 	s.npend = 0

@@ -74,13 +74,12 @@ func TestSchedFIFOOrder(t *testing.T) {
 // streams, never within one. Random pushes and pops are interleaved
 // so queues grow and drain repeatedly.
 func TestSchedPerStreamFSNOrder(t *testing.T) {
-	for _, pol := range []SchedPolicy{SchedFIFO, SchedRoundRobin, SchedWeightedFair, SchedPriority} {
+	for _, pol := range []SchedPolicy{SchedFIFO, SchedPriority} {
 		t.Run(pol.String(), func(t *testing.T) {
 			const streams = 5
 			s := newSched(pol, streams)
 			s.setPriority(1, 2)
 			s.setPriority(3, 1)
-			s.setWeight(2, 4)
 			r := schedRand(7 + schedRand(pol))
 			var nextFSN [streams]uint32
 			var lastPopped [streams]int64
@@ -106,12 +105,13 @@ func TestSchedPerStreamFSNOrder(t *testing.T) {
 	}
 }
 
-// TestSchedRRNoStarvation: with K streams backlogged, round robin may
-// make a stream wait at most K-1 pops between its turns — no stream
-// starves while it has work.
+// TestSchedRRNoStarvation: with K streams of one class backlogged
+// unevenly, the round robin among equals may make a stream wait at most
+// K-1 pops between its turns — no stream starves while it has work,
+// also as the shorter queues drain and drop out of the rotation.
 func TestSchedRRNoStarvation(t *testing.T) {
 	const streams = 6
-	s := newSched(SchedRoundRobin, streams)
+	s := newSched(SchedPriority, streams)
 	r := schedRand(11)
 	var fsn [streams]uint32
 	// Uneven backlogs: stream 0 has 10× the chunks of stream 5.
@@ -208,58 +208,6 @@ func TestSchedPriorityIntraClassRR(t *testing.T) {
 	}
 }
 
-// TestSchedWFQConvergence: with weights 1:2:4 and everyone
-// permanently backlogged with equal-size chunks, served byte shares
-// must converge to the weight ratio within the DRR bound (one
-// max-size chunk per stream per window).
-func TestSchedWFQConvergence(t *testing.T) {
-	const streams = 3
-	weights := [streams]int{1, 2, 4}
-	s := newSched(SchedWeightedFair, streams)
-	for st, w := range weights {
-		s.setWeight(uint16(st), w)
-	}
-	const chunkSize = 1000
-	var fsn [streams]uint32
-	var depth [streams]int
-	backlog := func() {
-		// Keep every queue deep enough that no stream ever drains.
-		for st := uint16(0); st < streams; st++ {
-			for depth[st] < 32 {
-				s.push(st, mkChunk(st, fsn[st], chunkSize))
-				fsn[st]++
-				depth[st]++
-			}
-		}
-	}
-	served := [streams]int{}
-	backlog()
-	const rounds = 2800
-	for i := 0; i < rounds; i++ {
-		oc := s.pop()
-		served[oc.c.Stream] += oc.size
-		depth[oc.c.Stream]--
-		backlog()
-	}
-	totalW := 0
-	for _, w := range weights {
-		totalW += w
-	}
-	totalB := rounds * chunkSize
-	for st, w := range weights {
-		want := totalB * w / totalW
-		got := served[st]
-		// DRR fairness bound over the full window: within one
-		// weight-share of a quantum-plus-max-chunk per rotation; with
-		// this many rounds a generous ±10% envelope is conservative.
-		slack := totalB / 10
-		if got < want-slack || got > want+slack {
-			t.Fatalf("stream %d (weight %d) served %d bytes, want %d ± %d",
-				st, w, got, want, slack)
-		}
-	}
-}
-
 // TestSchedPeekReserves: peek must reserve the selection so sizing a
 // packet and then popping commits the same chunk, even when something
 // more urgent arrives in between (the documented one-chunk bounded
@@ -289,7 +237,7 @@ func TestSchedPeekReserves(t *testing.T) {
 // TestSchedDrainReturnsEverything: drain must hand back exactly the
 // queued chunks — including a peek-reserved one — and reset state.
 func TestSchedDrainReturnsEverything(t *testing.T) {
-	for _, pol := range []SchedPolicy{SchedFIFO, SchedRoundRobin, SchedWeightedFair, SchedPriority} {
+	for _, pol := range []SchedPolicy{SchedFIFO, SchedPriority} {
 		s := newSched(pol, 3)
 		pushed := map[*outChunk]bool{}
 		r := schedRand(17)

@@ -527,41 +527,6 @@ func TestRetransmitStatsUnderLoss(t *testing.T) {
 	}
 }
 
-func TestAutoclose(t *testing.T) {
-	cfg := Config{Autoclose: 2 * time.Second}
-	k, sa, sb, _ := pair(16, lan(), cfg)
-	srv, _ := sb.SocketConfig(5000, cfg)
-	srv.Listen()
-	closed := false
-	k.Spawn("client", func(p *sim.Proc) {
-		cli, _ := sa.SocketConfig(0, cfg)
-		id, err := cli.Connect(p, []netsim.Addr{netsim.MakeAddr(0, 2)}, 5000, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cli.SendMsg(p, id, 0, 0, []byte("hi"))
-		for {
-			m, err := cli.RecvMsg(p)
-			if err != nil {
-				return
-			}
-			if m.Notification == NotifyShutdownComplete {
-				closed = true
-				return
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		// The server proc also ends via autoclose; deadlock should not
-		// occur because RecvMsg waiters get ShutdownComplete.
-		t.Fatal(err)
-	}
-	if !closed {
-		t.Fatal("idle association was not autoclosed")
-	}
-}
-
 func TestChecksumVerification(t *testing.T) {
 	cfg := Config{HBDisable: true, ChecksumVerify: true}
 	k, sa, sb, _ := pair(17, lan(), cfg)

@@ -426,9 +426,6 @@ func (a *Assoc) restartT3(pi int) {
 	a.armT3(pi)
 }
 
-// debugT3, when set, observes T3 expiries (test instrumentation).
-var debugT3 func(a *Assoc, pi int)
-
 // onT3 handles retransmission timeout on path pi: back off, collapse
 // the window to one MTU, and queue everything outstanding on that path
 // for retransmission (on an alternate path when available).
@@ -441,9 +438,6 @@ func (a *Assoc) onT3(pi int) {
 		return
 	}
 	a.stats.T3Expiries++
-	if debugT3 != nil {
-		debugT3(a, pi)
-	}
 	a.pathError(pi)
 	if a.state == aDone {
 		return

@@ -115,9 +115,6 @@ func (s *Stack) SocketConfig(port uint16, cfg Config) (*Socket, error) {
 	return sk, nil
 }
 
-// Port returns the socket's bound port.
-func (sk *Socket) Port() uint16 { return sk.port }
-
 // Config returns the socket configuration.
 func (sk *Socket) Config() Config { return sk.cfg }
 
@@ -328,24 +325,6 @@ func (sk *Socket) TrySendMsg(id AssocID, stream uint16, ppid uint32, data []byte
 	return a.trySend(stream, ppid, data)
 }
 
-// SendMsgTo sends on the association identified by a peer address,
-// implicitly like sendto().
-func (sk *Socket) SendMsgTo(p *sim.Proc, peer netsim.Addr, peerPort uint16, stream uint16, ppid uint32, data []byte) error {
-	a := sk.assocs[addrPort{peer, peerPort}]
-	if a == nil {
-		return ErrNoAssoc
-	}
-	return sk.SendMsg(p, a.id, stream, ppid, data)
-}
-
-// AssocByPeer returns the association ID for a peer address, if any.
-func (sk *Socket) AssocByPeer(peer netsim.Addr, peerPort uint16) (AssocID, bool) {
-	if a := sk.assocs[addrPort{peer, peerPort}]; a != nil {
-		return a.id, true
-	}
-	return 0, false
-}
-
 // SetStreamPriority assigns a strict-priority class to an outbound
 // stream (0 is most urgent). It takes effect only on associations that
 // negotiated I-DATA and run the SchedPriority scheduler; elsewhere it
@@ -363,38 +342,6 @@ func (sk *Socket) SetStreamPriority(id AssocID, stream uint16, prio uint8) error
 		a.sched.setPriority(stream, prio)
 	}
 	return nil
-}
-
-// SetStreamWeight assigns a weighted-fair share to an outbound stream
-// (minimum 1). Like SetStreamPriority it only affects I-DATA
-// associations running the SchedWeightedFair scheduler.
-func (sk *Socket) SetStreamWeight(id AssocID, stream uint16, weight int) error {
-	a := sk.byID[id]
-	if a == nil {
-		return ErrNoAssoc
-	}
-	if int(stream) >= a.numOut {
-		return ErrBadStream
-	}
-	if a.sched != nil {
-		a.sched.setWeight(stream, weight)
-	}
-	return nil
-}
-
-// SetPrimary selects the primary destination address of an association.
-func (sk *Socket) SetPrimary(id AssocID, addr netsim.Addr) error {
-	a := sk.byID[id]
-	if a == nil {
-		return ErrNoAssoc
-	}
-	for i, pt := range a.paths {
-		if pt.addr == addr {
-			a.primary = i
-			return nil
-		}
-	}
-	return ErrNoAssoc
 }
 
 // CloseAssoc starts a graceful shutdown of one association.

@@ -69,9 +69,6 @@ func (m MID) Add(n uint32) MID { return m + MID(n) }
 // Less reports whether m is strictly before o in serial order.
 func (m MID) Less(o MID) bool { return int32(m-o) < 0 }
 
-// Greater reports whether m is strictly after o in serial order.
-func (m MID) Greater(o MID) bool { return int32(m-o) > 0 }
-
 // FSN is a 32-bit fragment sequence number within one user message
 // (RFC 8260 I-DATA). Fragments are numbered 0..n-1; the space wraps
 // modulo 2^32 like every other serial number here.
@@ -79,12 +76,6 @@ type FSN uint32
 
 // Add returns f advanced by n, wrapping modulo 2^32.
 func (f FSN) Add(n uint32) FSN { return f + FSN(n) }
-
-// Sub returns the forward distance from o to f (f - o) modulo 2^32.
-func (f FSN) Sub(o FSN) uint32 { return uint32(f - o) }
-
-// Less reports whether f is strictly before o in serial order.
-func (f FSN) Less(o FSN) bool { return int32(f-o) < 0 }
 
 // Greater reports whether f is strictly after o in serial order.
 func (f FSN) Greater(o FSN) bool { return int32(f-o) > 0 }

@@ -185,3 +185,27 @@ func TestGoexitInEventStopsRun(t *testing.T) {
 		t.Fatalf("Run = %v, want an error naming host", err)
 	}
 }
+
+// A RunFor that returns an error before its deadline takes the deadline
+// event with it, so a later Run does not stop at that stale deadline.
+func TestRunForErrorLeavesNoDeadline(t *testing.T) {
+	k := New(1)
+	k.Spawn("quitter", func(p *Proc) {
+		p.Sleep(500 * time.Millisecond)
+		runtime.Goexit()
+	})
+	if err := k.RunFor(10 * time.Second); err == nil || !strings.Contains(err.Error(), "quitter") {
+		t.Fatalf("RunFor = %v, want an error naming quitter", err)
+	}
+	if n := k.PendingEvents(); n != 0 {
+		t.Fatalf("%d events pending after RunFor returned its error, want 0", n)
+	}
+	var fired time.Duration
+	k.After(20*time.Second-k.Now(), func() { fired = k.Now() })
+	if err := k.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 20*time.Second {
+		t.Fatalf("the 20s event fired at %v, want 20s", fired)
+	}
+}

@@ -35,7 +35,6 @@ type Kernel struct {
 	rng      *rand.Rand
 	running  bool
 	stopped  bool
-	nprocs   int
 	exitErr  error  // set when a process goroutine ends without returning
 	handoffs uint64 // channel hand-offs of the token, for tests
 }
@@ -141,12 +140,10 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		k:      k,
 		name:   name,
-		id:     k.nprocs,
 		resume: make(chan struct{}),
 		state:  stateReady,
 	}
 	p.timerFn = p.onTimer
-	k.nprocs++
 	k.procs[p] = struct{}{}
 	go func() {
 		<-p.resume
@@ -257,25 +254,16 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// RunFor runs the simulation for d of virtual time (or until quiescence,
-// whichever comes first). Unlike Run it does not treat blocked processes
-// as a deadlock; it simply returns.
+// RunFor runs the simulation for d of virtual time. Unlike Run it does
+// not treat blocked processes as a deadlock; it simply returns. If Run
+// returns an error first, the deadline event is removed, so a later run
+// does not stop at it.
 func (k *Kernel) RunFor(d time.Duration) error {
-	deadline := k.now + d
-	k.After(d, func() { k.stopped = true })
+	t := k.After(d, func() { k.stopped = true })
 	err := k.Run()
-	if err != nil {
-		return err
-	}
-	if k.now < deadline {
-		k.now = deadline
-	}
-	return nil
+	t.Stop()
+	return err
 }
-
-// Stop halts Run after the currently executing process or event yields.
-// It may only be called from kernel context (an event or a process).
-func (k *Kernel) Stop() { k.stopped = true }
 
 // LiveProcs returns the number of processes that have not finished.
 func (k *Kernel) LiveProcs() int { return len(k.procs) }

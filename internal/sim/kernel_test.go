@@ -154,11 +154,22 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
+// Two RunFors in a row: each stops at its deadline, and no event or
+// return of either sees Now() go backwards.
 func TestRunFor(t *testing.T) {
 	k := New(1)
+	var last time.Duration
+	monotone := func(at string) {
+		t.Helper()
+		if k.Now() < last {
+			t.Fatalf("%s: Now() went back from %v to %v", at, last, k.Now())
+		}
+		last = k.Now()
+	}
 	n := 0
 	var tick func()
 	tick = func() {
+		monotone("tick")
 		n++
 		k.After(time.Second, tick)
 	}
@@ -166,8 +177,16 @@ func TestRunFor(t *testing.T) {
 	if err := k.RunFor(10500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
-		t.Fatalf("ticks = %d, want 10", n)
+	monotone("first RunFor")
+	if n != 10 || k.Now() != 10500*time.Millisecond {
+		t.Fatalf("first RunFor: %d ticks, now %v; want 10, 10.5s", n, k.Now())
+	}
+	if err := k.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	monotone("second RunFor")
+	if n != 12 || k.Now() != 12500*time.Millisecond {
+		t.Fatalf("second RunFor: %d ticks, now %v; want 12, 12.5s", n, k.Now())
 	}
 }
 

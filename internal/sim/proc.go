@@ -16,7 +16,6 @@ const (
 type Proc struct {
 	k      *Kernel
 	name   string
-	id     int
 	resume chan struct{}
 	state  procState
 
@@ -33,12 +32,6 @@ type Proc struct {
 	timerGen  uint64
 	timerCond *Cond
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns a dense per-kernel process index.
-func (p *Proc) ID() int { return p.id }
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }

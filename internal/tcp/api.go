@@ -165,12 +165,3 @@ func (c *Conn) Reset() {
 
 // Err returns the terminal error, if any.
 func (c *Conn) Err() error { return c.err }
-
-// RTO returns the current retransmission timeout estimate (for tests).
-func (c *Conn) RTO() interface{ String() string } { return c.rto }
-
-// Cwnd returns the current congestion window in bytes (for tests).
-func (c *Conn) Cwnd() int { return c.cwnd }
-
-// MSS returns the negotiated maximum segment size.
-func (c *Conn) MSS() int { return c.mss }

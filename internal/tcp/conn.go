@@ -187,17 +187,8 @@ func (s *Stack) newConn(laddr netsim.Addr, lport uint16, raddr netsim.Addr, rpor
 // LocalAddr returns the local address.
 func (c *Conn) LocalAddr() netsim.Addr { return c.laddr }
 
-// RemoteAddr returns the remote address.
-func (c *Conn) RemoteAddr() netsim.Addr { return c.raddr }
-
 // LocalPort returns the local port.
 func (c *Conn) LocalPort() uint16 { return c.lport }
-
-// RemotePort returns the remote port.
-func (c *Conn) RemotePort() uint16 { return c.rport }
-
-// SetNoDelay enables or disables Nagle's algorithm.
-func (c *Conn) SetNoDelay(v bool) { c.noDelay = v }
 
 // SetNotify registers fn to be invoked (in kernel context) with the
 // readiness edges each inbound segment produced: ReadyRecv when in-order
@@ -206,9 +197,6 @@ func (c *Conn) SetNoDelay(v bool) { c.noDelay = v }
 // ReadyClosed on teardown. This is the edge-triggered event hook the RPI
 // modules feed into their readiness poller instead of select().
 func (c *Conn) SetNotify(fn func(transport.Ready)) { c.notify = fn }
-
-// Established reports whether the connection is fully open.
-func (c *Conn) Established() bool { return c.state == stateEstablished || c.state == stateFinWait }
 
 func (c *Conn) kernel() *sim.Kernel { return c.stack.kernel() }
 
@@ -226,9 +214,6 @@ func (c *Conn) fail(err error) {
 	c.state = stateDone
 	if c.err == nil {
 		c.err = err
-	}
-	if debugFail != nil {
-		debugFail(c, err)
 	}
 	c.stopTimers()
 	c.stack.removeConn(c)
@@ -545,17 +530,6 @@ func (c *Conn) pruneSacked() {
 		}
 	}
 	c.sacked = out
-}
-
-// isSacked reports whether sequence number q is covered by the
-// scoreboard.
-func (c *Conn) isSacked(q seqnum.V) bool {
-	for _, s := range c.sacked {
-		if q.GreaterEq(s.Start) && q.Less(s.End) {
-			return true
-		}
-	}
-	return false
 }
 
 // processData handles the payload and FIN of an inbound segment.

@@ -107,21 +107,3 @@ func (s *segment) segLen() uint32 {
 	}
 	return n
 }
-
-func (s *segment) String() string {
-	fl := ""
-	if s.Flags&flagSYN != 0 {
-		fl += "S"
-	}
-	if s.Flags&flagACK != 0 {
-		fl += "A"
-	}
-	if s.Flags&flagFIN != 0 {
-		fl += "F"
-	}
-	if s.Flags&flagRST != 0 {
-		fl += "R"
-	}
-	return fmt.Sprintf("[%d->%d %s seq=%d ack=%d len=%d wnd=%d sacks=%d]",
-		s.SrcPort, s.DstPort, fl, s.Seq, s.Ack, len(s.Data), s.Wnd, len(s.Sacks))
-}

@@ -40,9 +40,6 @@ func NewStack(node *netsim.Node, cfg Config) *Stack {
 	return s
 }
 
-// Node returns the node this stack is attached to.
-func (s *Stack) Node() *netsim.Node { return s.node }
-
 func (s *Stack) kernel() *sim.Kernel { return s.node.Kernel() }
 
 func (s *Stack) handlePacket(pkt *netsim.Packet, ifc *netsim.Iface) {
@@ -206,9 +203,6 @@ func (l *Listener) Close() {
 	delete(l.stack.listeners, l.port)
 	l.cond.Broadcast()
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
 
 // Connect opens a connection to raddr:rport using the stack's config,
 // blocking until established or failed.

@@ -30,6 +30,7 @@ func lan() netsim.LinkParams { return netsim.DefaultLinkParams() }
 // integrity; it returns the virtual completion time.
 func transfer(t *testing.T, seed int64, lp netsim.LinkParams, cfg Config, n int) time.Duration {
 	t.Helper()
+	cfg.NoDelay = true // as LAM runs TCP; the server sends no data, so only the client's writes see it
 	k, sa, sb, _ := pair(seed, lp, cfg)
 	payload := make([]byte, n)
 	r := k.Rand()
@@ -69,7 +70,6 @@ func transfer(t *testing.T, seed int64, lp netsim.LinkParams, cfg Config, n int)
 			t.Error(err)
 			return
 		}
-		c.SetNoDelay(true)
 		if _, err := c.Write(p, payload); err != nil {
 			t.Error(err)
 			return

@@ -36,12 +36,6 @@ func NewBipBuffer(max int) *BipBuffer {
 // Len returns the number of buffered bytes.
 func (b *BipBuffer) Len() int { return b.aLen + b.bLen }
 
-// Cap returns the current allocation; it grows toward Max as needed.
-func (b *BipBuffer) Cap() int { return len(b.buf) }
-
-// Max returns the capacity ceiling.
-func (b *BipBuffer) Max() int { return b.max }
-
 // Claim returns a writable region of up to n contiguous free bytes —
 // possibly shorter, empty only when the buffer is full at its ceiling.
 // Following the bip discipline, it prefers the space after region A

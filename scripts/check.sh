@@ -137,6 +137,12 @@ go test -race ./internal/chaos/...
 stage "chaos corpus (make chaos: corpora, 256-rank fat-tree, mid-broadcast kills)"
 make chaos
 
+stage "reach (functions no product run reaches are listed in scripts/reach.txt)"
+# Cover builds of cmd/paper, benchmark, cmd/chaos and the examples run
+# their make/check lines, and the tests run once more with -coverpkg; a
+# test-only or unreached function missing from reach.txt fails here.
+./scripts/reach.sh -check
+
 stage "1024-rank scale smoke (fat-tree allreduce)"
 SCALE_SMOKE=1 go test -run TestScaleSmoke1024 -timeout 10m ./internal/bench/
 
