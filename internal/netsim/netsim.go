@@ -641,6 +641,8 @@ func (n *Network) NewPort(lp LinkParams) *Port {
 // topology. Returning nil means "no route" (the packet is dropped and
 // counted); returning an empty path falls back to the direct per-pair
 // pipe, which keeps self-sends and loopback traffic on the mesh path.
+// A returned route may be shared (by every packet of the pair, and by
+// the packets in flight on it) and must never be written.
 type Router interface {
 	Route(src, dst Addr) []*Port
 }

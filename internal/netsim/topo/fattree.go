@@ -25,11 +25,12 @@ type fatTree struct {
 	aggUp    [][]*netsim.Port // [pod*k/2+agg][j] aggregation -> core a*k/2+j
 	coreDown [][]*netsim.Port // [core][pod] core -> aggregation core/(k/2) of pod
 
-	// scratch reused across Route calls: routing is synchronous (the
-	// caller copies nothing and the network schedules hops before the
-	// next send), but hop closures retain the slice, so each route gets
-	// a fresh small slice from a chunked arena instead.
-	arena []*netsim.Port
+	// routes[hs*hosts+hd] is the route from host hs to host hd, computed
+	// on first use and shared by every later packet of the pair; the
+	// table itself is allocated on the first Route. Routes are cut from
+	// a chunked arena so a pair costs no allocation of its own.
+	routes [][]*netsim.Port
+	arena  []*netsim.Port
 }
 
 func buildFatTree(k *sim.Kernel, hosts, radix int, hostLP, fabricLP netsim.LinkParams) (*Net, error) {
@@ -97,6 +98,8 @@ func (ft *fatTree) path(n int) []*netsim.Port {
 	return p
 }
 
+// Route returns the pair's cached route, computing it on first use: a
+// fat-tree route depends only on (source host, destination host).
 func (ft *fatTree) Route(src, dst netsim.Addr) []*netsim.Port {
 	hs := hostIndex(src, ft.hosts)
 	hd := hostIndex(dst, ft.hosts)
@@ -107,6 +110,19 @@ func (ft *fatTree) Route(src, dst netsim.Addr) []*netsim.Port {
 		// Loopback: defer to the direct pipe, like the mesh.
 		return []*netsim.Port{}
 	}
+	if ft.routes == nil {
+		ft.routes = make([][]*netsim.Port, ft.hosts*ft.hosts)
+	}
+	r := ft.routes[hs*ft.hosts+hd]
+	if r == nil {
+		r = ft.route(hs, hd)
+		ft.routes[hs*ft.hosts+hd] = r
+	}
+	return r
+}
+
+// route computes the hop sequence from host hs to host hd (hs != hd).
+func (ft *fatTree) route(hs, hd int) []*netsim.Port {
 	half := ft.k / 2
 	es, ed := hs/half, hd/half // global edge indices
 	if es == ed {

@@ -1,11 +1,14 @@
 package topo
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/testenv"
+	"repro/internal/wire"
 )
 
 func TestFatTreeStructure(t *testing.T) {
@@ -64,12 +67,11 @@ func TestFatTreeRouteShape(t *testing.T) {
 		if len(p) != c.hops {
 			t.Fatalf("route %d->%d has %d hops, want %d", c.src, c.dst, len(p), c.hops)
 		}
-		// Deterministic ECMP: the same flow always takes the same path.
+		// Deterministic ECMP: the same flow always takes the same path,
+		// and the route is computed once and shared.
 		q := r.Route(ft(c.src), ft(c.dst))
-		for i := range p {
-			if p[i] != q[i] {
-				t.Fatalf("route %d->%d not deterministic at hop %d", c.src, c.dst, i)
-			}
+		if len(q) != len(p) || &q[0] != &p[0] {
+			t.Fatalf("route %d->%d was rebuilt: a second Route must return the same backing array", c.src, c.dst)
 		}
 	}
 	if p := r.Route(ft(5), ft(5)); p == nil || len(p) != 0 {
@@ -83,6 +85,46 @@ func TestFatTreeRouteShape(t *testing.T) {
 func routerOf(t *testing.T, n *Net) netsim.Router {
 	t.Helper()
 	return n.Network.RouterValue()
+}
+
+// A pooled packet sent across pods allocates nothing in steady state:
+// its route is the pair's cached one, and the struct, payload and hop
+// events are pooled as on the mesh.
+func TestFatTreeSendAllocFree(t *testing.T) {
+	if testenv.Race {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := sim.New(1)
+	n, err := Build(k, 16, Config{Kind: FatTree, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := n.Hosts[0], n.Hosts[12]
+	got := 0
+	dst.Handle(netsim.ProtoTCP, func(*netsim.Packet, *netsim.Iface) { got++ })
+	// Bursts of 100 stay inside the host port's 256 KiB queue.
+	bursts := func(count int) {
+		for b := 0; b < count; b++ {
+			for i := 0; i < 100; i++ {
+				src.Send(src.NewPacket(src.Addr(), dst.Addr(), netsim.ProtoTCP, wire.GetBuf(1000)))
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bursts(10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bursts(100)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d != 0 {
+		t.Errorf("10000 cross-pod sends allocated %d bytes, want 0", d)
+	}
+	if got != 11000 || netsim.LivePooledPackets() != 0 {
+		t.Errorf("delivered %d of 11000 packets, %d still live", got, netsim.LivePooledPackets())
+	}
 }
 
 // TestFatTreeDelivery sends one packet across pods and checks
