@@ -209,3 +209,48 @@ func TestRunForErrorLeavesNoDeadline(t *testing.T) {
 		t.Fatalf("the 20s event fired at %v, want 20s", fired)
 	}
 }
+
+// A Sleep that nothing can precede moves the clock without an event. An
+// older event due at exactly the wake-up still fires first, and one due
+// later is still pending afterwards.
+func TestSleepTieFiresOlderEventFirst(t *testing.T) {
+	k := New(1)
+	var order []string
+	k.Spawn("sleeper", func(p *Proc) {
+		k.After(3*time.Second, func() { order = append(order, "later") })
+		seq := k.seq
+		p.Sleep(time.Second)
+		if k.seq != seq || k.PendingEvents() != 1 {
+			t.Errorf("an unpreceded Sleep scheduled %d events, %d pending; want 0, 1", k.seq-seq, k.PendingEvents())
+		}
+		k.After(time.Second, func() { order = append(order, "tie") })
+		p.Sleep(time.Second)
+		order = append(order, "woke@"+p.Now().String())
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, ","); got != "tie,woke@2s,later" {
+		t.Fatalf("order %s, want tie,woke@2s,later", got)
+	}
+}
+
+// A Sleep while another process is runnable lets that process run at
+// the current time before the sleeper wakes.
+func TestSleepYieldsToRunnableProcess(t *testing.T) {
+	k := New(1)
+	var order []string
+	k.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(time.Second)
+		order = append(order, "sleeper@"+p.Now().String())
+	})
+	k.Spawn("other", func(p *Proc) {
+		order = append(order, "other@"+p.Now().String())
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, ","); got != "other@0s,sleeper@1s" {
+		t.Fatalf("order %s, want other@0s,sleeper@1s", got)
+	}
+}

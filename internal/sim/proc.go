@@ -71,9 +71,20 @@ func (p *Proc) reschedule() {
 }
 
 // Sleep blocks the process for d of virtual time.
+//
+// When no process is runnable and no event is due by now+d, nothing can
+// run before the wake-up, so the clock moves to now+d at once: the same
+// order as the timer, without its event or a pass through the
+// scheduler. An older event due at exactly now+d still fires first.
 func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
 		p.Yield()
+		return
+	}
+	k := p.k
+	if k.run.Len() == 0 && !k.stopped && (len(k.sched) == 0 || k.sched[0].when > k.now+d) {
+		k.now += d
+		p.waitGen++
 		return
 	}
 	p.armTimer(d, nil)
