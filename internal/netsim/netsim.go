@@ -12,6 +12,8 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -516,12 +518,10 @@ func (n *Network) traverse(p *Pipe, pkt *Packet) {
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	// Only a busy pipe has a backlog. On an idle one busyUntil-now is
-	// negative, and past ~9 s at 1 Gb/s its product with the bandwidth
-	// overflows int64 into a spurious positive backlog.
+	// Only a busy pipe has a backlog: on an idle one busyUntil-now is
+	// negative.
 	if p.params.QueueBytes > 0 && p.params.Bandwidth > 0 && p.busyUntil > now {
-		backlogBytes := int64(p.busyUntil-now) * p.params.Bandwidth / (8 * int64(time.Second))
-		if backlogBytes > int64(p.params.QueueBytes) {
+		if bytesIn(p.busyUntil-now, p.params.Bandwidth) > int64(p.params.QueueBytes) {
 			n.Stats.PacketsQueued++
 			p.QueueDrops++
 			n.trace("drop-queue", pkt)
@@ -556,6 +556,23 @@ func (n *Network) traverse(p *Pipe, pkt *Packet) {
 	if dup != nil {
 		n.schedule(p, dup, now)
 	}
+}
+
+// bytesIn returns the whole bytes a link of bps bits per second
+// serializes in d (both non-negative). The product d*bps is taken in
+// 128 bits: in 64 it overflows once a backlog passes ~1.15 GB at any
+// rate. A result too large for an int64 saturates.
+func bytesIn(d time.Duration, bps int64) int64 {
+	const perByte = 8 * uint64(time.Second)
+	hi, lo := bits.Mul64(uint64(d), uint64(bps))
+	if hi >= perByte {
+		return math.MaxInt64
+	}
+	q, _ := bits.Div64(hi, lo, perByte)
+	if q > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(q)
 }
 
 // schedule books one copy's arrival at the far end of p, drawing its

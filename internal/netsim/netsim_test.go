@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -129,6 +130,32 @@ func TestIdlePipeNotQueueDropped(t *testing.T) {
 		if got != 3 || net.Stats.PacketsQueued != 0 {
 			t.Errorf("idle %v: delivered %d of 3, %d queue drops", idle, got, net.Stats.PacketsQueued)
 		}
+	}
+}
+
+// TestDeepBacklogQueueDrop: a backlog past ~1.15 GB overflowed the
+// int64 product of its duration and the bandwidth, and the drop-tail
+// bound stopped holding. At 10 Gb/s a 1500 MiB queue holds 24191 of
+// the 65 020-byte packets sent at once; the rest are dropped.
+func TestDeepBacklogQueueDrop(t *testing.T) {
+	lp := LinkParams{Bandwidth: 10e9, QueueBytes: 1500 << 20}
+	k, net, a, b := twoNodes(1, lp)
+	got := 0
+	b.Handle(99, func(pkt *Packet, ifc *Iface) { got++ })
+	payload := make([]byte, 65000)
+	const sent = 30000
+	for i := 0; i < sent; i++ {
+		a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: 99, Payload: payload})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const held = 24191 // packets i with i*65020 <= 1500 MiB
+	if got != held || net.Stats.PacketsQueued != sent-held {
+		t.Fatalf("delivered %d, %d queue drops; want %d and %d", got, net.Stats.PacketsQueued, held, sent-held)
+	}
+	if n := bytesIn(time.Duration(math.MaxInt64), 100e9); n != math.MaxInt64 {
+		t.Fatalf("bytesIn saturates at %d, want MaxInt64", n)
 	}
 }
 
