@@ -1,10 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test bench paper chaos reach
+.PHONY: check check-fast fmt vet lint build test bench paper chaos reach
 
 # Tier-1 gate: formatting, vet, build, full test suite.
 check:
 	./scripts/check.sh
+
+# The fast tier: every stage up to and including the allocation pins.
+check-fast:
+	./scripts/check.sh fast
 
 fmt:
 	gofmt -w .

@@ -1,8 +1,21 @@
 #!/bin/sh
 # Tier-1 checks: formatting, vet, build, full test suite.
 # Run from the repository root (or via `make check`).
+#
+# `check.sh fast` (`make check-fast`) stops after the allocation pins:
+# formatting, vet, simlint, build, the tests, the examples and the pins.
+# Plain `check.sh` is the full gate and runs every stage.
 set -eu
 cd "$(dirname "$0")/.."
+
+tier=${1:-full}
+case $tier in
+fast | full) ;;
+*)
+	echo "usage: $0 [fast]" >&2
+	exit 2
+	;;
+esac
 
 # stage prints the elapsed seconds of the stage before it, then the new
 # stage's header; the EXIT trap reports the last stage, failed or not.
@@ -67,15 +80,22 @@ done
 
 stage "allocation pins (GOMAXPROCS=1) + shared wire pool (-race)"
 # The steady-state message path must not allocate: AllocsPerRun pins on
-# Proc.Sleep, Cond hand-off, wire Get/Put, a mesh Node.Send, the
-# unexpected-message match, TCP and SCTP SACK decoding, and core
-# ping-pongs (clean and 2% loss) and an Allreduce per backend
-# (DESIGN.md §4.1). The wire pool is the one pool shared by concurrent
+# Proc.Sleep, Cond hand-off, wire Get/Put, a mesh Node.Send, a cross-pod
+# fat-tree send, the unexpected-message match, TCP and SCTP SACK
+# decoding, and core ping-pongs (clean and 2% loss) and an Allreduce per
+# backend (DESIGN.md §4.1). The wire pool is the one pool shared by concurrent
 # kernels, so its ownership test runs under -race.
 GOMAXPROCS=1 go test -count=1 -run 'AllocFree|AllocsPerMessage|NoAllocSteadyState' \
-	./internal/sim/ ./internal/wire/ ./internal/netsim/ ./internal/core/ \
-	./internal/mpi/ ./internal/tcp/ ./internal/sctp/
+	./internal/sim/ ./internal/wire/ ./internal/netsim/ ./internal/netsim/topo/ \
+	./internal/core/ ./internal/mpi/ ./internal/tcp/ ./internal/sctp/
 go test -race -count=10 ./internal/wire/
+
+if [ "$tier" = fast ]; then
+	stage_end
+	trap - EXIT
+	echo "tier-1 fast: OK (run without 'fast' for the full gate)"
+	exit 0
+fi
 
 stage "go test -race (kernel + cluster)"
 # Event callbacks run on whichever process goroutine holds the execution
