@@ -113,12 +113,11 @@ func (ft *fatTree) Route(src, dst netsim.Addr) []*netsim.Port {
 	if ft.routes == nil {
 		ft.routes = make([][]*netsim.Port, ft.hosts*ft.hosts)
 	}
-	r := ft.routes[hs*ft.hosts+hd]
-	if r == nil {
-		r = ft.route(hs, hd)
-		ft.routes[hs*ft.hosts+hd] = r
+	r := &ft.routes[hs*ft.hosts+hd]
+	if *r == nil {
+		*r = ft.route(hs, hd)
 	}
-	return r
+	return *r
 }
 
 // route computes the hop sequence from host hs to host hd (hs != hd).
