@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/sctp"
 	"repro/internal/testenv"
 )
 
@@ -64,22 +65,30 @@ func pingPongAllocs(t *testing.T, opts Options, size, warm, runs int) float64 {
 	return perMsg
 }
 
+// idataConfig runs SCTP with RFC 8260 I-DATA and the priority
+// scheduler, the mode the chaos corpus runs by default.
+var idataConfig = &sctp.Config{IData: true, Scheduler: sctp.SchedPriority}
+
 // TestPingPongAllocsPerMessage pins the steady-state message path to at
-// most one heap allocation per message on every backend: a 64 B
-// ping-pong without loss.
+// most one heap allocation per message on every backend, and on SCTP
+// with I-DATA: a 64 B ping-pong without loss.
 func TestPingPongAllocsPerMessage(t *testing.T) {
 	if testenv.Race {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
-	for _, tr := range []Transport{TCP, SCTP, SCTPOneToOne} {
-		t.Run(tr.String(), func(t *testing.T) {
-			perMsg := pingPongAllocs(t, Options{Procs: 2, Transport: tr, Seed: 1}, 64, 200, 1000)
-			t.Logf("%s: %.4f allocs/msg", tr, perMsg)
+	pin := func(name string, opts Options) {
+		t.Run(name, func(t *testing.T) {
+			perMsg := pingPongAllocs(t, opts, 64, 200, 1000)
+			t.Logf("%s: %.4f allocs/msg", name, perMsg)
 			if perMsg > 1 {
-				t.Errorf("%s: %.4f allocations per message in steady state, want <= 1", tr, perMsg)
+				t.Errorf("%s: %.4f allocations per message in steady state, want <= 1", name, perMsg)
 			}
 		})
 	}
+	for _, tr := range []Transport{TCP, SCTP, SCTPOneToOne} {
+		pin(tr.String(), Options{Procs: 2, Transport: tr, Seed: 1})
+	}
+	pin("LAM_SCTP_I-DATA", Options{Procs: 2, Transport: SCTP, Seed: 1, SCTPConfig: idataConfig})
 }
 
 // TestLossyPingPongAllocsPerMessage is the 2%-loss variant with 30 KiB
@@ -92,16 +101,20 @@ func TestLossyPingPongAllocsPerMessage(t *testing.T) {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
 	const bound = 0.2
-	for _, tr := range []Transport{TCP, SCTP} {
-		t.Run(tr.String(), func(t *testing.T) {
-			opts := Options{Procs: 2, Transport: tr, Seed: 3, LossRate: 0.02}
+	pin := func(name string, opts Options) {
+		t.Run(name, func(t *testing.T) {
+			opts.Seed, opts.LossRate = 3, 0.02
 			perMsg := pingPongAllocs(t, opts, 30<<10, 100, 200)
-			t.Logf("%s at 2%% loss: %.4f allocs/msg", tr, perMsg)
+			t.Logf("%s at 2%% loss: %.4f allocs/msg", name, perMsg)
 			if perMsg > bound {
-				t.Errorf("%s at 2%% loss: %.4f allocations per message, want <= %.2f", tr, perMsg, bound)
+				t.Errorf("%s at 2%% loss: %.4f allocations per message, want <= %.2f", name, perMsg, bound)
 			}
 		})
 	}
+	for _, tr := range []Transport{TCP, SCTP} {
+		pin(tr.String(), Options{Procs: 2, Transport: tr})
+	}
+	pin("LAM_SCTP_I-DATA", Options{Procs: 2, Transport: SCTP, SCTPConfig: idataConfig})
 }
 
 // TestAllreduceAllocFree pins an 8-rank 8 KiB Allreduce (recursive

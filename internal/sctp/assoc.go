@@ -7,6 +7,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/seqnum"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -134,37 +135,6 @@ type tsnRange struct {
 	start, end seqnum.V // inclusive
 }
 
-// frag is one stored fragment: the data slice plus a retained reference
-// to the pooled packet it aliases (nil when the data is unpooled).
-type frag struct {
-	data []byte
-	buf  *netsim.Packet
-}
-
-// partialMsg reassembles a fragmented user message.
-type partialMsg struct {
-	stream uint16
-	ssn    seqnum.S16
-	ppid   uint32
-	frags  map[seqnum.V]frag
-	haveB  bool
-	haveE  bool
-	bTSN   seqnum.V
-	eTSN   seqnum.V
-	bytes  int
-}
-
-// releaseFrags drops the packet references held by an unfinished
-// reassembly, e.g. at association teardown.
-func (pm *partialMsg) releaseFrags() {
-	for tsn, f := range pm.frags {
-		if f.buf != nil {
-			f.buf.Release()
-		}
-		delete(pm.frags, tsn)
-	}
-}
-
 // Assoc is one SCTP association endpoint.
 type Assoc struct {
 	sock *Socket
@@ -184,10 +154,11 @@ type Assoc struct {
 	numOut     int
 	numIn      int
 
-	// Send side.
+	// Send side. Every never-sent chunk waits in sched: DATA in FIFO
+	// order, I-DATA under Config.Scheduler.
 	nextTSN  seqnum.V
-	outSSN   []uint16
-	outQ     fifo.Queue[*outChunk]
+	outSeq   []uint32 // next SSN (DATA) or MID (I-DATA) per outbound stream
+	sched    sched
 	rtxQ     fifo.Queue[*outChunk]
 	inflight fifo.Queue[*outChunk] // TSN order
 	sndUsed  int
@@ -199,22 +170,17 @@ type Assoc struct {
 	chunks []*chunk
 
 	// I-DATA mode (RFC 8260), committed at handshake when both ends
-	// enable Config.IData. Outbound messages take a per-stream MID and
-	// queue in the stream scheduler instead of outQ; their TSNs are
-	// assigned at transmit time so TSN order equals wire order even when
-	// the scheduler interleaves streams.
+	// enable Config.IData. Outbound messages take a per-stream MID
+	// instead of an SSN, and their TSNs are assigned at transmit time so
+	// TSN order equals wire order even when the scheduler interleaves
+	// streams.
 	useIData bool
-	outMID   []seqnum.MID // next message ID per outbound stream
-	sched    *sched       // sender-side stream scheduler
-	ireasm   ireasm       // per-(stream, MID) interleaved reassembly
 
 	// Receive side.
 	cumTSN      seqnum.V
 	rcvRanges   []tsnRange
 	dupTSNs     []seqnum.V
-	partial     map[uint32]*partialMsg
-	expectedSSN []seqnum.S16
-	reorder     []map[seqnum.S16]*Message
+	reasm       reasm
 	rcvUsed     int
 	lastRwnd    int
 	pktsNoSack  int
@@ -283,6 +249,7 @@ func (sk *Socket) newAssoc(peerPort uint16, peerAddrs []netsim.Addr) *Assoc {
 			a.sendSack()
 		}
 	}
+	a.reasm.stack, a.reasm.to = sk.stack, a
 	for _, pa := range peerAddrs {
 		key := addrPort{pa, peerPort}
 		sk.assocs[key] = a
@@ -335,39 +302,23 @@ func initialCwnd(mtu int) int {
 }
 
 // initStreams sizes stream state after negotiation. useIData must be
-// committed before this is called (it sizes the I-DATA structures).
+// committed before this is called: it picks the chunk kind the send
+// queue and the reassembler carry.
 func (a *Assoc) initStreams(out, in int) {
 	a.numOut = out
 	a.numIn = in
-	a.outSSN = make([]uint16, out)
-	a.expectedSSN = make([]seqnum.S16, in)
-	// The per-stream reorder maps are made on first insert (deliverOrdered):
-	// most streams never see an out-of-order message, and reads and deletes
-	// on a nil map are safe.
-	a.reorder = make([]map[seqnum.S16]*Message, in)
+	a.outSeq = make([]uint32, out)
+	policy := SchedFIFO
 	if a.useIData {
-		a.outMID = make([]seqnum.MID, out)
-		a.sched = newSched(a.cfg.Scheduler, out)
-		a.ireasm.init(in)
-	} else {
-		a.outMID = nil
-		a.sched = nil
+		policy = a.cfg.Scheduler
 	}
+	a.sched.init(policy, out)
+	a.reasm.init(in, a.useIData)
 }
 
 // UsesIData reports whether RFC 8260 interleaving was negotiated for
 // this association (both endpoints enabled Config.IData).
 func (a *Assoc) UsesIData() bool { return a.useIData }
-
-// outPending counts chunks queued for first transmission, wherever they
-// live (legacy outQ or the I-DATA stream scheduler).
-func (a *Assoc) outPending() int {
-	n := a.outQ.Len()
-	if a.sched != nil {
-		n += a.sched.pending()
-	}
-	return n
-}
 
 // establish finalizes the handshake on either side.
 func (a *Assoc) establish() {
@@ -387,11 +338,8 @@ func (a *Assoc) handlePacket(src, dst netsim.Addr, pkt *packet) {
 	hadData := false
 	for _, c := range pkt.Chunks {
 		switch c.Type {
-		case ctData:
-			a.handleData(src, c)
-			hadData = true
-		case ctIData:
-			a.handleIData(src, c)
+		case ctData, ctIData:
+			a.handleData(c)
 			hadData = true
 		case ctSack:
 			a.stats.SacksRcvd++
@@ -518,103 +466,37 @@ func (a *Assoc) acceptTSN(c *chunk) bool {
 	return true
 }
 
-// handleData processes one DATA chunk.
-func (a *Assoc) handleData(src netsim.Addr, c *chunk) {
-	if !a.acceptTSN(c) {
-		return
-	}
-
-	// Reassembly: fragments of one message share (stream, SSN) and
-	// occupy consecutive TSNs.
-	tsn := c.TSN
-	key := uint32(c.Stream)<<16 | uint32(uint16(c.SSN))
-	pm := a.partial[key]
-	if pm == nil {
-		if c.Flags&flagBeginFragment != 0 && c.Flags&flagEndFragment != 0 {
-			// Unfragmented message: deliver directly, skipping the
-			// reassembly map. This is the common case for small sends.
-			a.deliverOrdered(a.dataMsg(c.Stream, c.SSN, c.PPID,
-				append(wire.GetBuf(len(c.Data))[:0], c.Data...)))
-			return
-		}
-		pm = a.sock.stack.newPartial()
-		pm.stream, pm.ssn, pm.ppid = c.Stream, c.SSN, c.PPID
-		if a.partial == nil {
-			a.partial = make(map[uint32]*partialMsg) // first fragmented message
-		}
-		a.partial[key] = pm
-	}
-	if _, dup := pm.frags[tsn]; !dup {
-		if c.buf != nil {
-			c.buf.Retain()
-		}
-		pm.frags[tsn] = frag{data: c.Data, buf: c.buf}
-		pm.bytes += len(c.Data)
-	}
-	if c.Flags&flagBeginFragment != 0 {
-		pm.haveB = true
-		pm.bTSN = tsn
-	}
-	if c.Flags&flagEndFragment != 0 {
-		pm.haveE = true
-		pm.eTSN = tsn
-	}
-	if pm.haveB && pm.haveE && int(pm.eTSN.Sub(pm.bTSN))+1 == len(pm.frags) {
-		delete(a.partial, key)
-		a.completeMessage(pm)
-	}
-}
-
-// handleIData processes one RFC 8260 I-DATA chunk: the shared TSN
-// machinery, then interleaved reassembly keyed by (stream, MID, FSN)
-// instead of consecutive TSNs.
-func (a *Assoc) handleIData(src netsim.Addr, c *chunk) {
-	if !a.useIData {
-		// Protocol violation: the peer sent I-DATA without negotiating
-		// it. Count and drop, like a chunk for an invalid stream.
+// handleData processes one DATA or I-DATA chunk: the TSN machinery,
+// then reassembly and per-stream ordered delivery.
+func (a *Assoc) handleData(c *chunk) {
+	if (c.Type == ctIData) != a.useIData {
+		// Protocol violation: the chunk kind is not the negotiated one
+		// (RFC 8260 §2.2). Count and drop, like a chunk for an invalid
+		// stream.
 		a.stats.ChunksRcvd++
 		return
 	}
 	if !a.acceptTSN(c) {
 		return
 	}
-	a.stats.IDataChunksRcvd++
-	a.probeIDataFrag(c)
-	a.ireasm.feed(c, func(m *Message) {
-		m.Assoc = a.id
-		m.Peer = a.peerAddrs[0]
-		a.probeDeliverMID(m)
-		a.sock.enqueue(m)
-	})
-}
-
-// completeMessage assembles a reassembled message and delivers it in
-// per-stream SSN order. Different streams deliver independently: this
-// is the multistreaming property that removes head-of-line blocking.
-func (a *Assoc) completeMessage(pm *partialMsg) {
-	// Message.Data is a pooled buffer: the receiver (the RPI engine)
-	// returns it to the wire pool once the payload has been copied out.
-	data := wire.GetBuf(pm.bytes)[:0]
-	for tsn := pm.bTSN; ; tsn = tsn.Add(1) {
-		f := pm.frags[tsn]
-		data = append(data, f.data...)
-		if f.buf != nil {
-			f.buf.Release()
-		}
-		if tsn == pm.eTSN {
-			break
-		}
+	if a.useIData {
+		a.stats.IDataChunksRcvd++
+		a.probeIDataFrag(c)
 	}
-	a.deliverOrdered(a.dataMsg(pm.stream, pm.ssn, pm.ppid, data))
-	a.sock.stack.freePartial(pm)
+	a.reasm.feed(c)
 }
 
-// dataMsg builds a received data message from the stack's free list.
-func (a *Assoc) dataMsg(stream uint16, ssn seqnum.S16, ppid uint32, data []byte) *Message {
-	m := a.sock.stack.newMsg()
+// deliver hands the socket a message the reassembler releases in
+// per-stream order. Different streams deliver independently: this is
+// the multistreaming property that removes head-of-line blocking.
+func (a *Assoc) deliver(m *Message) {
 	m.Assoc, m.Peer = a.id, a.peerAddrs[0]
-	m.Stream, m.SSN, m.PPID, m.Data = stream, uint16(ssn), ppid, data
-	return m
+	if a.useIData {
+		a.probeDeliverMID(m)
+	} else {
+		a.probeDeliver(m)
+	}
+	a.sock.enqueue(m)
 }
 
 // notify queues an association event on the socket.
@@ -623,33 +505,6 @@ func (a *Assoc) notify(kind NotificationType, err error) {
 	m.Assoc, m.Peer = a.id, a.peerAddrs[0]
 	m.Notification, m.Err = kind, err
 	a.sock.enqueue(m)
-}
-
-// deliverOrdered enqueues a reassembled message in per-stream SSN order,
-// draining any messages the arrival unblocks.
-func (a *Assoc) deliverOrdered(m *Message) {
-	st := int(m.Stream)
-	ssn := seqnum.S16(m.SSN)
-	if ssn == a.expectedSSN[st] {
-		a.probeDeliver(m)
-		a.sock.enqueue(m)
-		a.expectedSSN[st]++
-		for {
-			next, ok := a.reorder[st][a.expectedSSN[st]]
-			if !ok {
-				break
-			}
-			delete(a.reorder[st], a.expectedSSN[st])
-			a.probeDeliver(next)
-			a.sock.enqueue(next)
-			a.expectedSSN[st]++
-		}
-	} else {
-		if a.reorder[st] == nil {
-			a.reorder[st] = make(map[seqnum.S16]*Message)
-		}
-		a.reorder[st][ssn] = m
-	}
 }
 
 // creditRwnd returns receive-buffer space after the application reads a
@@ -802,14 +657,7 @@ func (a *Assoc) finish() {
 
 func (a *Assoc) teardown() {
 	a.state = aDone
-	for key, pm := range a.partial {
-		pm.releaseFrags()
-		delete(a.partial, key)
-	}
-	if a.useIData {
-		a.ireasm.release()
-	}
-	a.releaseQueued()
+	a.release()
 	a.initTimer.Stop()
 	a.sackTimer.Stop()
 	a.shutdownTimer.Stop()
@@ -822,15 +670,17 @@ func (a *Assoc) teardown() {
 	a.connCond.Broadcast()
 }
 
-// releaseQueued drops the shares of pooled message copies that
-// unacknowledged chunks still hold (teardown and restart) and empties the
-// queues. rtxQ is a subset of inflight, and releaseBuf is idempotent, so
-// walking all three queues is safe. Scheduler-queued chunks were never
-// transmitted, so their shares are released here too. The chunks
-// themselves are left to the garbage collector.
-func (a *Assoc) releaseQueued() {
+// release drops what the association still buffers (teardown and
+// restart): the reassembler's fragments and parked messages, and the
+// shares of pooled message copies that unacknowledged chunks hold. rtxQ
+// is a subset of inflight, and releaseBuf is idempotent, so walking
+// both is safe. Scheduler-queued chunks were never transmitted, so
+// their shares are released here too. The chunks themselves are left
+// to the garbage collector.
+func (a *Assoc) release() {
+	a.reasm.release()
 	a.sched.drain(a.releaseBuf)
-	for _, q := range []*fifo.Queue[*outChunk]{&a.outQ, &a.rtxQ, &a.inflight} {
+	for _, q := range []*fifo.Queue[*outChunk]{&a.rtxQ, &a.inflight} {
 		for i := 0; i < q.Len(); i++ {
 			a.releaseBuf(q.At(i))
 		}
@@ -853,7 +703,7 @@ func (a *Assoc) gracefulClose() {
 // maybeProgressShutdown advances the shutdown handshake once all
 // outbound data is acknowledged.
 func (a *Assoc) maybeProgressShutdown() {
-	if a.outPending() != 0 || a.rtxQ.Len() != 0 || a.inflight.Len() != 0 {
+	if a.sched.pending() != 0 || a.rtxQ.Len() != 0 || a.inflight.Len() != 0 {
 		return
 	}
 	switch a.state {
@@ -897,14 +747,9 @@ func (a *Assoc) armShutdownTimer(pi int, resend func(pi int)) {
 			a.fail(ErrTimeout, true)
 			return
 		}
-		// Back off the RTO of the path that timed out (RFC 4960 §6.3.3
-		// E2), clamped to RTOMax — the same rule the INIT and T3 timers
-		// follow.
-		pt := a.paths[pi]
-		pt.rto *= 2
-		if pt.rto > a.cfg.RTOMax {
-			pt.rto = a.cfg.RTOMax
-		}
+		// Back off the RTO of the path that timed out, the same rule the
+		// INIT and T3 timers follow.
+		a.paths[pi].backoff(a.cfg.RTOMax)
 		resend(a.rtxPath(pi))
 	})
 }
@@ -976,10 +821,7 @@ func (a *Assoc) fireHeartbeat(i int) {
 			// retransmission timeout (RFC 4960 §8.3 / §6.3.3 E2), so
 			// successive probes of a dead path space out exponentially
 			// up to RTOMax.
-			pt.rto *= 2
-			if pt.rto > a.cfg.RTOMax {
-				pt.rto = a.cfg.RTOMax
-			}
+			pt.backoff(a.cfg.RTOMax)
 			a.pathError(i)
 		})
 	}
@@ -1044,26 +886,32 @@ func (a *Assoc) choosePrimary() {
 	// recovers (heartbeats keep probing).
 }
 
+// updatePathRTT folds one round-trip measurement into the path's RTO
+// (RFC 4960 §6.3.1), clamped to [RTOMin, RTOMax].
 func (a *Assoc) updatePathRTT(pt *path, m time.Duration) {
 	if m <= 0 {
 		return
 	}
-	if pt.srtt == 0 {
-		pt.srtt = m
-		pt.rttvar = m / 2
-	} else {
-		d := pt.srtt - m
-		if d < 0 {
-			d = -d
-		}
-		pt.rttvar = (3*pt.rttvar + d) / 4
-		pt.srtt = (7*pt.srtt + m) / 8
+	var rto time.Duration
+	pt.srtt, pt.rttvar, rto = transport.SmoothRTT(pt.srtt, pt.rttvar, m)
+	pt.rto = min(max(rto, a.cfg.RTOMin), a.cfg.RTOMax)
+}
+
+// backoff doubles the path's RTO after a timeout, clamped to limit
+// (RFC 4960 §6.3.3 E2).
+func (pt *path) backoff(limit time.Duration) {
+	pt.rto = min(2*pt.rto, limit)
+}
+
+// leaveFlight takes oc's bytes out of its path's flight. It reports
+// whether they were still counted there: a chunk leaves flight once,
+// whether by SACK, T3 or fast retransmit.
+func (a *Assoc) leaveFlight(oc *outChunk) bool {
+	if !oc.inFlight {
+		return false
 	}
-	pt.rto = pt.srtt + 4*pt.rttvar
-	if pt.rto < a.cfg.RTOMin {
-		pt.rto = a.cfg.RTOMin
-	}
-	if pt.rto > a.cfg.RTOMax {
-		pt.rto = a.cfg.RTOMax
-	}
+	oc.inFlight = false
+	pt := a.paths[oc.pathIdx]
+	pt.flight = max(pt.flight-oc.size, 0)
+	return true
 }

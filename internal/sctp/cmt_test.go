@@ -141,7 +141,7 @@ func TestCMTSpuriousRetransmissions(t *testing.T) {
 				return
 			}
 		}
-		for a.totalFlight() > 0 || a.outQ.Len() > 0 {
+		for a.totalFlight() > 0 || a.sched.pending() > 0 {
 			p.Sleep(time.Millisecond)
 		}
 		st = a.Statistics()

@@ -89,11 +89,13 @@ func chunksEqual(a, b *chunk) bool {
 	return true
 }
 
-// reasmOp is one fuzz-decoded I-DATA chunk for the reassembler.
+// reasmOp is one fuzz-decoded DATA or I-DATA chunk for the
+// reassembler: seq is its SSN or MID, key its TSN (as an offset from
+// dataTSNBase) or FSN.
 type reasmOp struct {
 	stream uint16
-	mid    uint32
-	fsn    uint32
+	seq    uint32
+	key    uint32
 	begin  bool
 	end    bool
 	size   int
@@ -102,27 +104,33 @@ type reasmOp struct {
 const (
 	reasmStreams = 4
 	reasmOpBytes = 5
+	reasmKeys    = 16 // DATA TSN offsets; I-DATA FSNs use the first 8
+	// dataTSNBase puts the DATA fuzz TSNs across the 32-bit wrap.
+	dataTSNBase = seqnum.V(0xfffffff8)
 )
 
 // decodeReasmOps turns fuzz bytes into a bounded op sequence. Keeping
-// the value ranges small (4 streams, 8 MIDs, 8 FSNs) concentrates the
-// search on the interesting collisions: duplicate FSNs, conflicting
-// end flags, interleavings, and MID reordering.
-func decodeReasmOps(b []byte) []reasmOp {
+// the value ranges small (4 streams, 8 SSNs or MIDs, 16 TSNs or 8 FSNs)
+// concentrates the search on the interesting collisions: duplicate
+// keys, conflicting begin and end flags, interleavings, and reordering.
+func decodeReasmOps(b []byte, mid bool) []reasmOp {
 	var ops []reasmOp
 	for len(b) >= reasmOpBytes && len(ops) < 512 {
 		op := reasmOp{
 			stream: uint16(b[0] % reasmStreams),
-			mid:    uint32(b[1] % 8),
-			fsn:    uint32(b[2] % 8),
+			seq:    uint32(b[1] % 8),
+			key:    uint32(b[2] % reasmKeys),
 			begin:  b[3]&1 != 0,
 			end:    b[3]&2 != 0,
 			size:   int(b[4]%32) + 1,
 		}
-		if op.begin {
-			// Codec invariant: the begin fragment's FSN is implicitly 0
-			// (the wire carries the PPID in that position).
-			op.fsn = 0
+		if mid {
+			op.key %= 8
+			if op.begin {
+				// Codec invariant: the begin fragment's FSN is implicitly
+				// 0 (the wire carries the PPID in that position).
+				op.key = 0
+			}
 		}
 		ops = append(ops, op)
 		b = b[reasmOpBytes:]
@@ -135,21 +143,23 @@ func decodeReasmOps(b []byte) []reasmOp {
 func opPayload(op reasmOp) []byte {
 	d := make([]byte, op.size)
 	for i := range d {
-		d[i] = byte(int(op.stream)*31 + int(op.mid)*17 + int(op.fsn)*7 + i)
+		d[i] = byte(int(op.stream)*31 + int(op.seq)*17 + int(op.key)*7 + i)
 	}
 	return d
 }
 
-// reasmModel is an independent ~40-line mirror of the documented
-// ireasm robustness contract (first fragment per FSN wins, the first
-// end fragment fixes the length, delivery at most once in per-stream
-// MID order). It uses plain maps and copies — no pooling, no packet
-// references — so a divergence indicts the production structure.
+// reasmModel is an independent mirror of the documented reasm
+// robustness contract (first fragment per key wins, the first begin
+// and end fragments fix the message's bounds, delivery at most once in
+// per-stream order). It uses plain maps, copies and unwrapped offsets —
+// no pooling, no packet references, no serial arithmetic — so a
+// divergence indicts the production structure.
 type reasmModel struct {
-	frags  map[[3]uint32][]byte // (stream, mid, fsn) → payload
+	frags  map[[3]uint32][]byte // (stream, seq, key) → payload
 	haveB  map[[2]uint32]bool
 	haveE  map[[2]uint32]bool
-	eFSN   map[[2]uint32]uint32
+	first  map[[2]uint32]uint32
+	last   map[[2]uint32]uint32
 	parked map[[2]uint32][]byte
 	expect [reasmStreams]uint32
 	out    []delivered
@@ -157,7 +167,7 @@ type reasmModel struct {
 
 type delivered struct {
 	stream uint16
-	mid    uint32
+	seq    uint32
 	data   []byte
 }
 
@@ -166,65 +176,69 @@ func newReasmModel() *reasmModel {
 		frags:  make(map[[3]uint32][]byte),
 		haveB:  make(map[[2]uint32]bool),
 		haveE:  make(map[[2]uint32]bool),
-		eFSN:   make(map[[2]uint32]uint32),
+		first:  make(map[[2]uint32]uint32),
+		last:   make(map[[2]uint32]uint32),
 		parked: make(map[[2]uint32][]byte),
 	}
 }
 
 func (m *reasmModel) feed(op reasmOp, data []byte) {
 	if op.begin && op.end {
-		m.ordered(op.stream, op.mid, data)
+		m.ordered(op.stream, op.seq, data)
 		return
 	}
-	mk := [2]uint32{uint32(op.stream), op.mid}
-	if m.haveE[mk] && op.fsn > m.eFSN[mk] {
+	mk := [2]uint32{uint32(op.stream), op.seq}
+	fk := func(key uint32) [3]uint32 { return [3]uint32{uint32(op.stream), op.seq, key} }
+	outside := func(key uint32) bool {
+		return m.haveB[mk] && key < m.first[mk] || m.haveE[mk] && key > m.last[mk]
+	}
+	if outside(op.key) {
 		return
 	}
-	if op.begin {
-		m.haveB[mk] = true
+	if _, dup := m.frags[fk(op.key)]; !dup {
+		m.frags[fk(op.key)] = data
 	}
-	fk := [3]uint32{uint32(op.stream), op.mid, op.fsn}
-	if _, dup := m.frags[fk]; !dup {
-		m.frags[fk] = data
+	if op.begin && !m.haveB[mk] {
+		m.haveB[mk], m.first[mk] = true, op.key
 	}
 	if op.end && !m.haveE[mk] {
-		m.haveE[mk] = true
-		m.eFSN[mk] = op.fsn
-		for f := op.fsn + 1; f < 8; f++ {
-			delete(m.frags, [3]uint32{uint32(op.stream), op.mid, f})
+		m.haveE[mk], m.last[mk] = true, op.key
+	}
+	for key := uint32(0); key < reasmKeys; key++ {
+		if outside(key) {
+			delete(m.frags, fk(key))
 		}
 	}
 	if !m.haveB[mk] || !m.haveE[mk] {
 		return
 	}
 	var msg []byte
-	for f := uint32(0); f <= m.eFSN[mk]; f++ {
-		d, ok := m.frags[[3]uint32{uint32(op.stream), op.mid, f}]
+	for key := m.first[mk]; key <= m.last[mk]; key++ {
+		d, ok := m.frags[fk(key)]
 		if !ok {
 			return // incomplete
 		}
 		msg = append(msg, d...)
 	}
-	for f := uint32(0); f <= m.eFSN[mk]; f++ {
-		delete(m.frags, [3]uint32{uint32(op.stream), op.mid, f})
+	for key := m.first[mk]; key <= m.last[mk]; key++ {
+		delete(m.frags, fk(key))
 	}
 	delete(m.haveB, mk)
 	delete(m.haveE, mk)
-	delete(m.eFSN, mk)
-	m.ordered(op.stream, op.mid, msg)
+	m.ordered(op.stream, op.seq, msg)
 }
 
-func (m *reasmModel) ordered(stream uint16, mid uint32, data []byte) {
-	if mid < m.expect[stream] {
+func (m *reasmModel) ordered(stream uint16, seq uint32, data []byte) {
+	if seq < m.expect[stream] {
 		return
 	}
-	if mid != m.expect[stream] {
-		if _, dup := m.parked[[2]uint32{uint32(stream), mid}]; !dup {
-			m.parked[[2]uint32{uint32(stream), mid}] = data
+	if seq != m.expect[stream] {
+		if _, dup := m.parked[[2]uint32{uint32(stream), seq}]; !dup {
+			m.parked[[2]uint32{uint32(stream), seq}] = data
 		}
 		return
 	}
-	m.out = append(m.out, delivered{stream, mid, data})
+	m.out = append(m.out, delivered{stream, seq, data})
 	m.expect[stream]++
 	for {
 		next, ok := m.parked[[2]uint32{uint32(stream), m.expect[stream]}]
@@ -237,64 +251,81 @@ func (m *reasmModel) ordered(stream uint16, mid uint32, data []byte) {
 	}
 }
 
-// FuzzIDataReassembly drives the interleaved reassembler with
-// arbitrary chunk sequences — duplicates, conflicting flags, random
-// orderings, truncated trains — and checks it never panics, never
-// delivers a (stream, MID) twice or out of order, and produces exactly
-// the deliveries the independent model predicts. Seed corpus:
-// testdata/fuzz/FuzzIDataReassembly.
-func FuzzIDataReassembly(f *testing.F) {
-	f.Fuzz(func(t *testing.T, b []byte) {
-		ops := decodeReasmOps(b)
-		var ir ireasm
-		ir.init(reasmStreams)
-		model := newReasmModel()
+// sinkFunc lets a test function take a reassembler's deliveries.
+type sinkFunc func(*Message)
 
-		var got []delivered
-		var expectMID [reasmStreams]uint32
-		deliver := func(m *Message) {
-			// Contract invariants checked independently of the model:
-			// dense per-stream MID order means no double delivery.
-			if m.MID != expectMID[m.Stream] {
-				t.Fatalf("stream %d delivered MID %d, want %d",
-					m.Stream, m.MID, expectMID[m.Stream])
-			}
-			expectMID[m.Stream]++
-			got = append(got, delivered{m.Stream, m.MID, append([]byte(nil), m.Data...)})
-			wire.PutBuf(m.Data)
+func (f sinkFunc) deliver(m *Message) { f(m) }
+
+// fuzzReasm drives one reassembler (DATA mode, or I-DATA mode when mid
+// is set) with the chunk sequence b decodes to and checks it never
+// panics, never delivers a message twice or out of order, and produces
+// exactly the deliveries the independent model predicts.
+func fuzzReasm(t *testing.T, b []byte, mid bool) {
+	ops := decodeReasmOps(b, mid)
+	model := newReasmModel()
+	var got []delivered
+	var expect [reasmStreams]uint32
+	r := reasm{stack: new(Stack)}
+	r.to = sinkFunc(func(m *Message) {
+		seq := uint32(m.SSN)
+		if mid {
+			seq = m.MID
 		}
-		for _, op := range ops {
-			data := opPayload(op)
-			var flags uint8
-			if op.begin {
-				flags |= flagBeginFragment
-			}
-			if op.end {
-				flags |= flagEndFragment
-			}
-			c := &chunk{
-				Type:   ctIData,
-				Flags:  flags,
-				Stream: op.stream,
-				MID:    seqnum.MID(op.mid),
-				FSN:    seqnum.FSN(op.fsn),
-				Data:   data,
-			}
-			ir.feed(c, deliver)
-			model.feed(op, data)
+		// Contract invariant checked independently of the model: dense
+		// per-stream order means no double delivery.
+		if seq != expect[m.Stream] {
+			t.Fatalf("stream %d delivered %d, want %d", m.Stream, seq, expect[m.Stream])
 		}
-		if len(got) != len(model.out) {
-			t.Fatalf("delivered %d messages, model predicts %d", len(got), len(model.out))
-		}
-		for i := range got {
-			w := model.out[i]
-			if got[i].stream != w.stream || got[i].mid != w.mid ||
-				!bytes.Equal(got[i].data, w.data) {
-				t.Fatalf("delivery %d: got (s=%d mid=%d %d bytes), want (s=%d mid=%d %d bytes)",
-					i, got[i].stream, got[i].mid, len(got[i].data),
-					w.stream, w.mid, len(w.data))
-			}
-		}
-		ir.release()
+		expect[m.Stream]++
+		got = append(got, delivered{m.Stream, seq, append([]byte(nil), m.Data...)})
+		wire.PutBuf(m.Data)
+		r.stack.freeMsg(m)
 	})
+	r.init(reasmStreams, mid)
+	for _, op := range ops {
+		data := opPayload(op)
+		c := &chunk{Stream: op.stream, Data: data}
+		if op.begin {
+			c.Flags |= flagBeginFragment
+		}
+		if op.end {
+			c.Flags |= flagEndFragment
+		}
+		if mid {
+			c.Type, c.MID, c.FSN = ctIData, seqnum.MID(op.seq), seqnum.FSN(op.key)
+		} else {
+			c.Type, c.SSN, c.TSN = ctData, seqnum.S16(op.seq), dataTSNBase.Add(op.key)
+		}
+		r.feed(c)
+		model.feed(op, data)
+	}
+	if len(got) != len(model.out) {
+		t.Fatalf("delivered %d messages, model predicts %d", len(got), len(model.out))
+	}
+	for i := range got {
+		w := model.out[i]
+		if got[i].stream != w.stream || got[i].seq != w.seq ||
+			!bytes.Equal(got[i].data, w.data) {
+			t.Fatalf("delivery %d: got (s=%d seq=%d %d bytes), want (s=%d seq=%d %d bytes)",
+				i, got[i].stream, got[i].seq, len(got[i].data),
+				w.stream, w.seq, len(w.data))
+		}
+	}
+	r.release()
+}
+
+// FuzzIDataReassembly drives the reassembler in I-DATA mode with
+// arbitrary chunk sequences — duplicates, conflicting flags, random
+// orderings, truncated trains, interleaved MIDs — against the model.
+// Seed corpus: testdata/fuzz/FuzzIDataReassembly.
+func FuzzIDataReassembly(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) { fuzzReasm(t, b, true) })
+}
+
+// FuzzDataReassembly drives the same reassembler in DATA mode: TSN
+// keys across the 32-bit wrap, 16-bit SSN order, random fragment
+// orders, duplicates and conflicting begin and end flags. Seed corpus:
+// testdata/fuzz/FuzzDataReassembly.
+func FuzzDataReassembly(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) { fuzzReasm(t, b, false) })
 }

@@ -118,11 +118,60 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		op(0, 0, 0, 1, 7), op(0, 0, 3, 2, 7), op(0, 0, 5, 2, 7),
 		op(0, 0, 1, 0, 7), op(0, 0, 2, 0, 7),
 	))
+	writeSeed("FuzzIDataReassembly", "stray-beyond-end", cat(
+		op(0, 0, 5, 0, 7), op(0, 0, 0, 1, 7), op(0, 0, 1, 0, 7),
+		op(0, 0, 2, 2, 7),
+	))
 	writeSeed("FuzzIDataReassembly", "truncated-train", cat(
 		op(1, 0, 0, 1, 12), op(1, 0, 1, 0, 12),
 	))
 	writeSeed("FuzzIDataReassembly", "unfragmented-burst", cat(
 		op(0, 0, 0, 3, 20), op(1, 0, 0, 3, 20), op(2, 0, 0, 3, 20),
 		op(3, 0, 0, 3, 20), op(0, 1, 0, 3, 20),
+	))
+
+	// DATA op-trains: the same format with (stream, ssn, tsn offset from
+	// dataTSNBase, flags, size).
+	writeSeed("FuzzDataReassembly", "in-order", cat(
+		op(0, 0, 0, 1, 10), op(0, 0, 1, 0, 10), op(0, 0, 2, 2, 10),
+	))
+	writeSeed("FuzzDataReassembly", "reversed", cat(
+		op(1, 0, 2, 2, 8), op(1, 0, 1, 0, 8), op(1, 0, 0, 1, 8),
+	))
+	writeSeed("FuzzDataReassembly", "tsn-wrap", cat(
+		op(0, 0, 6, 1, 5), op(0, 0, 7, 0, 5), op(0, 0, 8, 0, 5),
+		op(0, 0, 9, 2, 5),
+	))
+	writeSeed("FuzzDataReassembly", "reorder-ssns", cat(
+		op(0, 1, 3, 3, 5), op(0, 0, 2, 3, 5), op(0, 2, 4, 3, 5),
+	))
+	writeSeed("FuzzDataReassembly", "interleaved-streams", cat(
+		op(0, 0, 0, 1, 6), op(1, 0, 2, 1, 6), op(0, 0, 1, 2, 6),
+		op(1, 0, 3, 2, 6),
+	))
+	writeSeed("FuzzDataReassembly", "dup-tsn", cat(
+		op(3, 0, 4, 1, 9), op(3, 0, 5, 0, 9), op(3, 0, 5, 0, 4),
+		op(3, 0, 6, 2, 9),
+	))
+	writeSeed("FuzzDataReassembly", "conflicting-begin", cat(
+		op(0, 0, 3, 1, 7), op(0, 0, 1, 1, 7), op(0, 0, 2, 0, 7),
+		op(0, 0, 4, 2, 7),
+	))
+	writeSeed("FuzzDataReassembly", "stray-before-begin", cat(
+		op(0, 0, 1, 0, 7), op(0, 0, 3, 1, 7), op(0, 0, 4, 2, 7),
+	))
+	writeSeed("FuzzDataReassembly", "stray-beyond-end", cat(
+		op(1, 0, 6, 0, 5), op(1, 0, 2, 1, 5), op(1, 0, 3, 2, 5),
+	))
+	writeSeed("FuzzDataReassembly", "conflicting-end", cat(
+		op(0, 0, 0, 1, 7), op(0, 0, 3, 2, 7), op(0, 0, 5, 2, 7),
+		op(0, 0, 1, 0, 7), op(0, 0, 2, 0, 7),
+	))
+	writeSeed("FuzzDataReassembly", "stale-replay", cat(
+		op(2, 0, 0, 3, 4), op(2, 0, 1, 3, 4), op(2, 1, 2, 3, 4),
+	))
+	writeSeed("FuzzDataReassembly", "unfragmented-burst", cat(
+		op(0, 0, 0, 3, 20), op(1, 0, 1, 3, 20), op(2, 0, 2, 3, 20),
+		op(0, 1, 3, 3, 20),
 	))
 }

@@ -91,12 +91,7 @@ func (a *Assoc) armInitTimer(resend func()) {
 			a.fail(ErrTimeout, false)
 			return
 		}
-		// Back off the init RTO.
-		pt := a.paths[a.primary]
-		pt.rto *= 2
-		if pt.rto > a.cfg.RTOMax {
-			pt.rto = a.cfg.RTOMax
-		}
+		a.paths[a.primary].backoff(a.cfg.RTOMax)
 		resend()
 	})
 }
@@ -108,12 +103,19 @@ func (sk *Socket) handleInit(src, dst netsim.Addr, pkt *packet, c *chunk) {
 	if !sk.listening {
 		return
 	}
-	localTag := sk.nonZeroTag()
-	localTSN := seqnum.V(sk.kernel().Rand().Uint32())
-	streams := int(c.OutStreams)
-	if streams > sk.cfg.Streams {
-		streams = sk.cfg.Streams
-	}
+	tag := sk.nonZeroTag()
+	tsn := seqnum.V(sk.kernel().Rand().Uint32())
+	sk.sendInitAck(src, dst, pkt.SrcPort, c, tag, tsn, sk.cfg.Streams, sk.stack.node.Addrs())
+}
+
+// sendInitAck answers INIT c from src:peerPort with an INIT-ACK that
+// offers this end's initiate tag and initial TSN, at most maxStreams
+// streams each way, I-DATA when both ends want it, and localAddrs. All
+// of it is committed to a signed state cookie; nothing else is kept.
+// The INIT-ACK carries the initiator's tag.
+func (sk *Socket) sendInitAck(src, dst netsim.Addr, peerPort uint16, c *chunk,
+	tag uint32, tsn seqnum.V, maxStreams int, localAddrs []netsim.Addr) {
+	streams := min(int(c.OutStreams), maxStreams)
 	if streams <= 0 {
 		streams = 1
 	}
@@ -123,33 +125,32 @@ func (sk *Socket) handleInit(src, dst netsim.Addr, pkt *packet, c *chunk) {
 	}
 	idata := sk.cfg.IData && c.Flags&initFlagIData != 0
 	cookie := &stateCookie{
-		PeerPort:   pkt.SrcPort,
+		PeerPort:   peerPort,
 		PeerTag:    c.InitiateTag,
-		LocalTag:   localTag,
+		LocalTag:   tag,
 		PeerTSN:    c.InitialTSN,
-		LocalTSN:   localTSN,
+		LocalTSN:   tsn,
 		OutStreams: uint16(streams),
 		InStreams:  uint16(streams),
 		IData:      idata,
 		PeerAddrs:  peerAddrs,
-		LocalAddrs: sk.stack.node.Addrs(),
+		LocalAddrs: localAddrs,
 		IssuedAt:   sk.kernel().Now(),
 	}
 	initAck := &chunk{
 		Type:        ctInitAck,
-		InitiateTag: localTag,
+		InitiateTag: tag,
 		ARwnd:       uint32(sk.cfg.RcvBuf),
 		OutStreams:  uint16(streams),
 		InStreams:   uint16(streams),
-		InitialTSN:  localTSN,
-		Addrs:       sk.stack.node.Addrs(),
+		InitialTSN:  tsn,
+		Addrs:       localAddrs,
 		Cookie:      cookie.encode(sk.stack.cookieMAC()),
 	}
 	if idata {
 		initAck.Flags |= initFlagIData
 	}
-	// INIT-ACK carries the initiator's tag.
-	sk.sendControl(dst, src, pkt.SrcPort, c.InitiateTag, initAck)
+	sk.sendControl(dst, src, peerPort, c.InitiateTag, initAck)
 }
 
 // handleInitAck (client side) advances CookieWait → CookieEchoed.
@@ -238,46 +239,8 @@ func (a *Assoc) handleInitCollision(src, dst netsim.Addr, c *chunk) {
 	if a.state != aCookieWait && a.state != aCookieEchoed {
 		return // INIT during shutdown: ignore
 	}
-	streams := int(c.OutStreams)
-	if streams > a.reqStreams {
-		streams = a.reqStreams
-	}
-	if streams <= 0 {
-		streams = 1
-	}
-	peerAddrs := c.Addrs
-	if len(peerAddrs) == 0 {
-		peerAddrs = []netsim.Addr{src}
-	}
-	sk := a.sock
-	idata := a.cfg.IData && c.Flags&initFlagIData != 0
-	cookie := &stateCookie{
-		PeerPort:   a.peerPort,
-		PeerTag:    c.InitiateTag,
-		LocalTag:   a.myTag, // reuse, per the collision rule
-		PeerTSN:    c.InitialTSN,
-		LocalTSN:   a.nextTSN,
-		OutStreams: uint16(streams),
-		InStreams:  uint16(streams),
-		IData:      idata,
-		PeerAddrs:  peerAddrs,
-		LocalAddrs: a.localAddrs,
-		IssuedAt:   sk.kernel().Now(),
-	}
-	initAck := &chunk{
-		Type:        ctInitAck,
-		InitiateTag: a.myTag,
-		ARwnd:       uint32(a.cfg.RcvBuf),
-		OutStreams:  uint16(streams),
-		InStreams:   uint16(streams),
-		InitialTSN:  a.nextTSN,
-		Addrs:       a.localAddrs,
-		Cookie:      cookie.encode(sk.stack.cookieMAC()),
-	}
-	if idata {
-		initAck.Flags |= initFlagIData
-	}
-	sk.sendControl(dst, src, a.peerPort, c.InitiateTag, initAck)
+	// Reuse our initiate tag and TSN, per the collision rule.
+	a.sock.sendInitAck(src, dst, a.peerPort, c, a.myTag, a.nextTSN, a.reqStreams, a.localAddrs)
 }
 
 // handleRestartInit answers a restart INIT (RFC 4960 §5.2.2) on an
@@ -285,47 +248,9 @@ func (a *Assoc) handleInitCollision(src, dst netsim.Addr, c *chunk) {
 // both committed to a signed cookie, state untouched until the echo.
 func (a *Assoc) handleRestartInit(src, dst netsim.Addr, c *chunk) {
 	sk := a.sock
-	localTag := sk.nonZeroTag()
-	localTSN := seqnum.V(sk.kernel().Rand().Uint32())
-	streams := int(c.OutStreams)
-	if streams > a.cfg.Streams {
-		streams = a.cfg.Streams
-	}
-	if streams <= 0 {
-		streams = 1
-	}
-	peerAddrs := c.Addrs
-	if len(peerAddrs) == 0 {
-		peerAddrs = []netsim.Addr{src}
-	}
-	idata := a.cfg.IData && c.Flags&initFlagIData != 0
-	cookie := &stateCookie{
-		PeerPort:   a.peerPort,
-		PeerTag:    c.InitiateTag,
-		LocalTag:   localTag,
-		PeerTSN:    c.InitialTSN,
-		LocalTSN:   localTSN,
-		OutStreams: uint16(streams),
-		InStreams:  uint16(streams),
-		IData:      idata,
-		PeerAddrs:  peerAddrs,
-		LocalAddrs: a.localAddrs,
-		IssuedAt:   sk.kernel().Now(),
-	}
-	initAck := &chunk{
-		Type:        ctInitAck,
-		InitiateTag: localTag,
-		ARwnd:       uint32(a.cfg.RcvBuf),
-		OutStreams:  uint16(streams),
-		InStreams:   uint16(streams),
-		InitialTSN:  localTSN,
-		Addrs:       a.localAddrs,
-		Cookie:      cookie.encode(sk.stack.cookieMAC()),
-	}
-	if idata {
-		initAck.Flags |= initFlagIData
-	}
-	sk.sendControl(dst, src, a.peerPort, c.InitiateTag, initAck)
+	tag := sk.nonZeroTag()
+	tsn := seqnum.V(sk.kernel().Rand().Uint32())
+	sk.sendInitAck(src, dst, a.peerPort, c, tag, tsn, a.cfg.Streams, a.localAddrs)
 }
 
 // restartInPlace commits an RFC 4960 §5.2 association restart: same
@@ -335,14 +260,7 @@ func (a *Assoc) handleRestartInit(src, dst netsim.Addr, c *chunk) {
 // cookie are adopted. The application learns via NotifyRestart.
 func (a *Assoc) restartInPlace(ck *stateCookie) {
 	// Release everything the old incarnation buffered.
-	for key, pm := range a.partial {
-		pm.releaseFrags()
-		delete(a.partial, key)
-	}
-	a.releaseQueued()
-	if a.useIData {
-		a.ireasm.release()
-	}
+	a.release()
 	a.sndUsed = 0
 	a.rcvRanges = a.rcvRanges[:0]
 	a.dupTSNs = a.dupTSNs[:0]

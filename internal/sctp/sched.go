@@ -1,5 +1,7 @@
 package sctp
 
+import "repro/internal/fifo"
+
 // SchedPolicy selects the sender-side stream scheduler used when RFC
 // 8260 I-DATA interleaving is negotiated. Legacy DATA associations
 // always transmit in FIFO order (fragments of one message occupy
@@ -29,58 +31,57 @@ func (p SchedPolicy) String() string {
 
 // streamQ is one stream's send queue plus its scheduling parameters.
 type streamQ struct {
-	q    []*outChunk
+	q    fifo.Queue[*outChunk]
 	prio uint8 // SchedPriority class; 0 is most urgent
 }
 
-func (sq *streamQ) empty() bool { return len(sq.q) == 0 }
-
-func (sq *streamQ) popFront() *outChunk {
-	oc := sq.q[0]
-	sq.q[0] = nil
-	sq.q = sq.q[1:]
-	if len(sq.q) == 0 {
-		sq.q = nil // release the drained backing array
-	}
-	return oc
-}
-
-// sched is the pluggable sender-side stream scheduler for I-DATA mode.
-// Chunks of one stream always leave in push (FSN) order; across streams
-// the policy decides. peek reserves the next chunk without handing it
-// out, so the sender can size packets before committing; the reserved
-// chunk is returned by the next pop even if a more urgent chunk arrives
-// in between (one-chunk bounded inversion, matching a real stack that
-// has already framed the chunk).
+// sched is the sender-side queue of never-sent chunks, with a pluggable
+// stream scheduler. Chunks of one stream always leave in push order;
+// across streams the policy decides. peek reserves the next chunk
+// without handing it out, so the sender can size packets before
+// committing; the reserved chunk is returned by the next pop even if a
+// more urgent chunk arrives in between (one-chunk bounded inversion,
+// matching a real stack that has already framed the chunk). The queues
+// are ring buffers, so the steady state allocates nothing.
 type sched struct {
-	policy  SchedPolicy
-	streams []streamQ
-	active  []*streamQ  // non-empty streams in service order
-	fifo    []*outChunk // SchedFIFO global arrival order
-	sel     *outChunk   // chunk reserved by peek, not yet popped
-	npend   int         // chunks pushed and not yet popped (incl. sel)
+	policy   SchedPolicy
+	streams  []streamQ
+	active   []*streamQ            // non-empty streams in service order
+	arrivals fifo.Queue[*outChunk] // SchedFIFO global arrival order
+	sel      *outChunk             // chunk reserved by peek, not yet popped
+	npend    int                   // chunks pushed and not yet popped (incl. sel)
 }
 
-func newSched(policy SchedPolicy, streams int) *sched {
-	return &sched{policy: policy, streams: make([]streamQ, streams)}
+// init empties the scheduler for policy. Only SchedPriority keeps
+// per-stream queues; FIFO serves every stream from one arrival queue.
+func (s *sched) init(policy SchedPolicy, streams int) {
+	*s = sched{policy: policy}
+	if policy == SchedPriority {
+		s.streams = make([]streamQ, streams)
+	}
 }
 
 // pending returns the number of chunks queued for first transmission.
 func (s *sched) pending() int { return s.npend }
 
-func (s *sched) setPriority(stream uint16, prio uint8) { s.streams[stream].prio = prio }
+// setPriority sets a stream's class; FIFO has no classes to set.
+func (s *sched) setPriority(stream uint16, prio uint8) {
+	if s.policy == SchedPriority {
+		s.streams[stream].prio = prio
+	}
+}
 
 func (s *sched) push(stream uint16, oc *outChunk) {
 	s.npend++
 	if s.policy == SchedFIFO {
-		s.fifo = append(s.fifo, oc)
+		s.arrivals.Push(oc)
 		return
 	}
 	sq := &s.streams[stream]
-	if sq.empty() {
+	if sq.q.Len() == 0 {
 		s.active = append(s.active, sq)
 	}
-	sq.q = append(sq.q, oc)
+	sq.q.Push(oc)
 }
 
 // peek returns the chunk the next pop will hand out, reserving it.
@@ -105,13 +106,7 @@ func (s *sched) pop() *outChunk {
 // guarantee at least one chunk is queued.
 func (s *sched) selectNext() *outChunk {
 	if s.policy == SchedFIFO {
-		oc := s.fifo[0]
-		s.fifo[0] = nil
-		s.fifo = s.fifo[1:]
-		if len(s.fifo) == 0 {
-			s.fifo = nil
-		}
-		return oc
+		return s.arrivals.Pop()
 	}
 	// SchedPriority: pop one chunk from the first most urgent active
 	// stream and rotate that stream to the tail (dropping it when
@@ -123,9 +118,9 @@ func (s *sched) selectNext() *outChunk {
 		}
 	}
 	sq := s.active[best]
-	oc := sq.popFront()
+	oc := sq.q.Pop()
 	s.active = append(s.active[:best], s.active[best+1:]...)
-	if !sq.empty() {
+	if sq.q.Len() > 0 {
 		s.active = append(s.active, sq)
 	}
 	return oc
@@ -134,23 +129,17 @@ func (s *sched) selectNext() *outChunk {
 // drain hands every queued chunk (including a peek-reserved one) to f
 // and empties the scheduler; used at association teardown and restart.
 func (s *sched) drain(f func(*outChunk)) {
-	if s == nil {
-		return
-	}
 	if s.sel != nil {
 		f(s.sel)
 		s.sel = nil
 	}
-	for _, oc := range s.fifo {
-		f(oc)
+	for s.arrivals.Len() > 0 {
+		f(s.arrivals.Pop())
 	}
-	s.fifo = nil
 	for i := range s.streams {
-		sq := &s.streams[i]
-		for _, oc := range sq.q {
-			f(oc)
+		for q := &s.streams[i].q; q.Len() > 0; {
+			f(q.Pop())
 		}
-		sq.q = nil
 	}
 	s.active = s.active[:0]
 	s.npend = 0

@@ -32,6 +32,13 @@ func mkChunk(st uint16, fsn uint32, size int) *outChunk {
 	}
 }
 
+// newSched returns an empty scheduler for streams outbound streams.
+func newSched(policy SchedPolicy, streams int) *sched {
+	s := new(sched)
+	s.init(policy, streams)
+	return s
+}
+
 // popAll drains the scheduler via pop(), returning the service order.
 func popAll(s *sched) []*outChunk {
 	var out []*outChunk

@@ -458,7 +458,7 @@ func TestMultihomedFailover(t *testing.T) {
 			p.Sleep(50 * time.Millisecond)
 		}
 		// Wait for retransmissions to drain.
-		for a.totalFlight() > 0 || a.outQ.Len() > 0 || a.rtxQ.Len() > 0 {
+		for a.totalFlight() > 0 || a.sched.pending() > 0 || a.rtxQ.Len() > 0 {
 			p.Sleep(100 * time.Millisecond)
 			if p.Now() > 5*time.Minute {
 				t.Error("failover never drained")

@@ -30,13 +30,21 @@ func (a *Assoc) trySend(stream uint16, ppid uint32, data []byte) error {
 	if a.sndUsed+len(data) > a.cfg.SndBuf {
 		return ErrWouldBlock
 	}
-	if a.useIData {
-		a.enqueueIData(stream, ppid, data)
-		return nil
-	}
-	ssn := seqnum.S16(a.outSSN[stream])
-	a.outSSN[stream]++
-	maxSeg := a.paths[a.primary].mtu - dataChunkHeaderSize
+	a.enqueue(stream, ppid, data)
+	a.transmit()
+	return nil
+}
+
+// enqueue fragments one user message into chunks that fit the primary
+// path's MTU and queues them in the stream scheduler. The message takes
+// the stream's next SSN (DATA) or MID (I-DATA, RFC 8260, whose
+// fragments are numbered by FSN from 0). A DATA chunk takes its TSN
+// here; an I-DATA chunk takes it at transmit time (popOut), because the
+// scheduler may interleave streams.
+func (a *Assoc) enqueue(stream uint16, ppid uint32, data []byte) {
+	seq := a.outSeq[stream]
+	a.outSeq[stream]++
+	maxSeg := a.paths[a.primary].mtu - a.dataHdrSize()
 	// Copy: sendmsg semantics let the caller reuse its buffer as soon
 	// as the call returns, but chunks live on until acknowledged. The
 	// copy goes into a pooled buffer shared by all fragments and
@@ -44,17 +52,10 @@ func (a *Assoc) trySend(stream uint16, ppid uint32, data []byte) error {
 	s := a.sock.stack
 	mb := s.newMsgBuf(data)
 	rest := mb.b
-	nfrags := (len(data) + maxSeg - 1) / maxSeg
-	if nfrags == 0 {
-		nfrags = 1
-	}
-	for i := 0; i < nfrags; i++ {
-		n := len(rest)
-		if n > maxSeg {
-			n = maxSeg
-		}
-		var flags uint8
-		if i == 0 {
+	for fsn := uint32(0); ; fsn++ {
+		n := min(len(rest), maxSeg)
+		flags := uint8(0)
+		if fsn == 0 {
 			flags |= flagBeginFragment
 		}
 		if n == len(rest) {
@@ -63,79 +64,25 @@ func (a *Assoc) trySend(stream uint16, ppid uint32, data []byte) error {
 		mb.refs++
 		oc := s.newChunk()
 		*oc = outChunk{
-			c: chunk{
-				Type:   ctData,
-				Flags:  flags,
-				TSN:    a.nextTSN,
-				Stream: stream,
-				SSN:    ssn,
-				PPID:   ppid,
-				Data:   rest[:n:n],
-			},
+			c:    chunk{Type: ctData, Flags: flags, Stream: stream, PPID: ppid, Data: rest[:n:n]},
 			mb:   mb,
 			size: n,
 		}
-		a.outQ.Push(oc)
-		a.nextTSN = a.nextTSN.Add(1)
-		rest = rest[n:]
-	}
-	a.sndUsed += len(data)
-	a.sock.Stats.MsgsSent++
-	a.sock.Stats.BytesSent += int64(len(data))
-	a.transmit()
-	return nil
-}
-
-// enqueueIData fragments one user message into I-DATA chunks (RFC
-// 8260): the message takes the stream's next MID, fragments are
-// numbered by FSN from 0, and the chunks go to the stream scheduler
-// rather than the global outQ. TSNs are assigned later, at transmit
-// time, because the scheduler may interleave streams.
-func (a *Assoc) enqueueIData(stream uint16, ppid uint32, data []byte) {
-	mid := a.outMID[stream]
-	a.outMID[stream] = mid.Add(1)
-	maxSeg := a.paths[a.primary].mtu - iDataChunkHeaderSize
-	s := a.sock.stack
-	mb := s.newMsgBuf(data)
-	rest := mb.b
-	nfrags := (len(data) + maxSeg - 1) / maxSeg
-	if nfrags == 0 {
-		nfrags = 1
-	}
-	for i := 0; i < nfrags; i++ {
-		n := len(rest)
-		if n > maxSeg {
-			n = maxSeg
-		}
-		var flags uint8
-		if i == 0 {
-			flags |= flagBeginFragment
-		}
-		if n == len(rest) {
-			flags |= flagEndFragment
-		}
-		mb.refs++
-		oc := s.newChunk()
-		*oc = outChunk{
-			c: chunk{
-				Type:   ctIData,
-				Flags:  flags,
-				Stream: stream,
-				MID:    mid,
-				FSN:    seqnum.FSN(uint32(i)),
-				PPID:   ppid,
-				Data:   rest[:n:n],
-			},
-			mb:   mb,
-			size: n,
+		if a.useIData {
+			oc.c.Type, oc.c.MID, oc.c.FSN = ctIData, seqnum.MID(seq), seqnum.FSN(fsn)
+		} else {
+			oc.c.SSN, oc.c.TSN = seqnum.S16(seq), a.nextTSN
+			a.nextTSN = a.nextTSN.Add(1)
 		}
 		a.sched.push(stream, oc)
 		rest = rest[n:]
+		if len(rest) == 0 {
+			break
+		}
 	}
 	a.sndUsed += len(data)
 	a.sock.Stats.MsgsSent++
 	a.sock.Stats.BytesSent += int64(len(data))
-	a.transmit()
 }
 
 // dataHdrSize returns the wire header size of this association's data
@@ -147,31 +94,13 @@ func (a *Assoc) dataHdrSize() int {
 	return dataChunkHeaderSize
 }
 
-// peekOut returns (reserving, without dequeuing) the next never-sent
-// chunk, or nil when none is queued.
-func (a *Assoc) peekOut() *outChunk {
-	if a.outQ.Len() > 0 {
-		return a.outQ.Front()
-	}
-	if a.sched != nil {
-		return a.sched.peek()
-	}
-	return nil
-}
-
 // popOut dequeues the next never-sent chunk. In I-DATA mode the chunk
 // takes its TSN here — at transmit time — so TSN order equals wire
 // order even when the scheduler interleaves streams; SACK gap and
 // missing-report accounting depend on that.
 func (a *Assoc) popOut() *outChunk {
-	if a.outQ.Len() > 0 {
-		return a.outQ.Pop()
-	}
-	if a.sched == nil {
-		return nil
-	}
 	oc := a.sched.pop()
-	if oc != nil {
+	if oc != nil && a.useIData {
 		oc.c.TSN = a.nextTSN
 		a.nextTSN = a.nextTSN.Add(1)
 	}
@@ -293,12 +222,11 @@ func (a *Assoc) pickCMTPath() int {
 	return -1
 }
 
-// sendNewData transmits never-sent chunks within cwnd and peer rwnd.
-// Chunks come from the legacy outQ or, in I-DATA mode, from the stream
-// scheduler (which decides the interleaving order).
+// sendNewData transmits never-sent chunks within cwnd and peer rwnd, in
+// the order the stream scheduler hands them out.
 func (a *Assoc) sendNewData() {
 	hdr := a.dataHdrSize()
-	for a.outPending() > 0 {
+	for a.sched.pending() > 0 {
 		var pi int
 		if a.cfg.CMT {
 			pi = a.pickCMTPath()
@@ -315,7 +243,7 @@ func (a *Assoc) sendNewData() {
 		// Zero-window probe: when the peer advertises no space, keep
 		// exactly one chunk in flight.
 		probe := false
-		if a.peerRwnd < a.peekOut().size {
+		if a.peerRwnd < a.sched.peek().size {
 			if a.totalFlight() > 0 {
 				return
 			}
@@ -325,7 +253,7 @@ func (a *Assoc) sendNewData() {
 		size := 0
 		budget := pt.cwnd - pt.flight
 		for {
-			oc := a.peekOut()
+			oc := a.sched.peek()
 			if oc == nil {
 				break
 			}
@@ -449,10 +377,7 @@ func (a *Assoc) onT3(pi int) {
 	pt.cwnd = pt.mtu
 	pt.pba = 0
 	pt.inFastRec = false
-	pt.rto *= 2
-	if pt.rto > a.cfg.RTOMax {
-		pt.rto = a.cfg.RTOMax
-	}
+	pt.backoff(a.cfg.RTOMax)
 	pt.rttActive = false
 	// Requeue everything outstanding on this path. Their bytes leave
 	// flight here (pt.flight = 0 below), so mark each chunk accordingly:
@@ -494,12 +419,7 @@ func (a *Assoc) processSack(c *chunk) {
 	for a.inflight.Len() > 0 && a.inflight.Front().c.TSN.LessEq(cum) {
 		oc := a.inflight.Pop()
 		pt := a.paths[oc.pathIdx]
-		if oc.inFlight {
-			oc.inFlight = false
-			pt.flight -= oc.size
-			if pt.flight < 0 {
-				pt.flight = 0
-			}
+		if a.leaveFlight(oc) {
 			ackedPerPath[oc.pathIdx] += oc.size
 		}
 		oc.sacked = true // fully acked; a sacked chunk is never sent again
@@ -541,14 +461,8 @@ func (a *Assoc) processSack(c *chunk) {
 			if !oc.sacked {
 				oc.sacked = true
 				a.releaseBuf(oc)
+				a.leaveFlight(oc)
 				pt := a.paths[oc.pathIdx]
-				if oc.inFlight {
-					oc.inFlight = false
-					pt.flight -= oc.size
-					if pt.flight < 0 {
-						pt.flight = 0
-					}
-				}
 				if pt.rttActive && tsn.GreaterEq(pt.rttTSN) {
 					pt.rttActive = false
 					if oc.transmits == 1 {
@@ -669,13 +583,7 @@ func (a *Assoc) markFastRtx(oc *outChunk) {
 		pt.recoverTSN = a.nextTSN.Add(^uint32(0))
 	}
 	// The chunk is no longer considered in flight on its path.
-	if oc.inFlight {
-		oc.inFlight = false
-		pt.flight -= oc.size
-		if pt.flight < 0 {
-			pt.flight = 0
-		}
-	}
+	a.leaveFlight(oc)
 	oc.missing = 0
 	oc.inRtxQ = true
 	a.rtxQ.Push(oc)

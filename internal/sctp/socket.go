@@ -292,10 +292,7 @@ func (sk *Socket) TryRecvMsg() (*Message, error) {
 // ReleaseMsg hands a received message back for reuse. The caller must
 // not touch m afterwards; its Data buffer is not affected and stays the
 // caller's.
-func (sk *Socket) ReleaseMsg(m *Message) {
-	*m = Message{}
-	sk.stack.freeMsgs.Put(m)
-}
+func (sk *Socket) ReleaseMsg(m *Message) { sk.stack.freeMsg(m) }
 
 // SendMsg blocks until the message is accepted into the association
 // send buffer.
@@ -328,7 +325,7 @@ func (sk *Socket) TrySendMsg(id AssocID, stream uint16, ppid uint32, data []byte
 // SetStreamPriority assigns a strict-priority class to an outbound
 // stream (0 is most urgent). It takes effect only on associations that
 // negotiated I-DATA and run the SchedPriority scheduler; elsewhere it
-// records nothing and is a harmless no-op, so callers need not care
+// is a harmless no-op, so callers need not care
 // which mode the association landed in.
 func (sk *Socket) SetStreamPriority(id AssocID, stream uint16, prio uint8) error {
 	a := sk.byID[id]
@@ -338,9 +335,7 @@ func (sk *Socket) SetStreamPriority(id AssocID, stream uint16, prio uint8) error
 	if int(stream) >= a.numOut {
 		return ErrBadStream
 	}
-	if a.sched != nil {
-		a.sched.setPriority(stream, prio)
-	}
+	a.sched.setPriority(stream, prio)
 	return nil
 }
 

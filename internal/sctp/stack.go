@@ -33,11 +33,11 @@ type Stack struct {
 	// Free lists of the per-message objects, shared by every association
 	// on the stack. They start empty and fill as objects are released, so
 	// the steady state allocates nothing.
-	freePkts   freelist.List[packet]     // decoded inbound packets
-	freeMsgs   freelist.List[Message]    // received messages handed back with ReleaseMsg
-	freeBufs   freelist.List[msgBuf]     // outbound message copies
-	freeChunks freelist.List[outChunk]   // outbound DATA chunks
-	freeParts  freelist.List[partialMsg] // inbound reassemblies, fragment maps kept
+	freePkts   freelist.List[packet]   // decoded inbound packets
+	freeMsgs   freelist.List[Message]  // received messages, back from ReleaseMsg or dropped
+	freeBufs   freelist.List[msgBuf]   // outbound message copies
+	freeChunks freelist.List[outChunk] // outbound DATA and I-DATA chunks
+	freeParts  freelist.List[partial]  // inbound reassemblies, fragment maps kept
 
 	Stats StackStats
 }
@@ -134,18 +134,24 @@ func (s *Stack) freeChunk(oc *outChunk) {
 	s.freeChunks.Put(oc)
 }
 
-func (s *Stack) newPartial() *partialMsg {
+// freeMsg recycles a received message; its Data is the caller's.
+func (s *Stack) freeMsg(m *Message) {
+	*m = Message{}
+	s.freeMsgs.Put(m)
+}
+
+func (s *Stack) newPartial() *partial {
 	if pm := s.freeParts.Get(); pm != nil {
 		return pm
 	}
-	return &partialMsg{frags: make(map[seqnum.V]frag)}
+	return &partial{frags: make(map[seqnum.V]frag)}
 }
 
-// freePartial recycles a completed reassembly. Clearing its fragment map
+// freePartial recycles a finished reassembly. Clearing its fragment map
 // keeps the map's storage for the next message.
-func (s *Stack) freePartial(pm *partialMsg) {
+func (s *Stack) freePartial(pm *partial) {
 	clear(pm.frags)
-	*pm = partialMsg{frags: pm.frags}
+	*pm = partial{frags: pm.frags}
 	s.freeParts.Put(pm)
 }
 

@@ -63,9 +63,6 @@ func (s S16) Greater(o S16) bool { return int16(s-o) > 0 }
 // it must be compared with the serial-order helpers.
 type MID uint32
 
-// Add returns m advanced by n, wrapping modulo 2^32.
-func (m MID) Add(n uint32) MID { return m + MID(n) }
-
 // Less reports whether m is strictly before o in serial order.
 func (m MID) Less(o MID) bool { return int32(m-o) < 0 }
 
@@ -73,9 +70,3 @@ func (m MID) Less(o MID) bool { return int32(m-o) < 0 }
 // (RFC 8260 I-DATA). Fragments are numbered 0..n-1; the space wraps
 // modulo 2^32 like every other serial number here.
 type FSN uint32
-
-// Add returns f advanced by n, wrapping modulo 2^32.
-func (f FSN) Add(n uint32) FSN { return f + FSN(n) }
-
-// Greater reports whether f is strictly after o in serial order.
-func (f FSN) Greater(o FSN) bool { return int32(f-o) > 0 }

@@ -624,23 +624,10 @@ func (c *Conn) finish() {
 	c.fireNotify(transport.ReadyClosed)
 }
 
+// updateRTT folds one round-trip measurement into the RTO, clamped to
+// [rtoMin, rtoMax].
 func (c *Conn) updateRTT(m time.Duration) {
-	if c.srtt == 0 {
-		c.srtt = m
-		c.rttvar = m / 2
-	} else {
-		d := c.srtt - m
-		if d < 0 {
-			d = -d
-		}
-		c.rttvar = (3*c.rttvar + d) / 4
-		c.srtt = (7*c.srtt + m) / 8
-	}
-	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < rtoMin {
-		c.rto = rtoMin
-	}
-	if c.rto > rtoMax {
-		c.rto = rtoMax
-	}
+	var rto time.Duration
+	c.srtt, c.rttvar, rto = transport.SmoothRTT(c.srtt, c.rttvar, m)
+	c.rto = min(max(rto, rtoMin), rtoMax)
 }

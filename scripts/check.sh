@@ -115,11 +115,12 @@ go test -run TestRankScalingSubLinear ./internal/bench/
 stage "table producers (make paper: cmd/paper -exp all -quick)"
 make paper >/dev/null
 
-stage "fuzz smoke (chunk codec + interleaved reassembly)"
-# Short coverage-guided runs of the I-DATA fuzz targets, starting from
+stage "fuzz smoke (chunk codec + DATA and I-DATA reassembly)"
+# Short coverage-guided runs of the SCTP fuzz targets, starting from
 # the checked-in seed corpora under internal/sctp/testdata/fuzz.
 go test -run '^$' -fuzz '^FuzzChunkCodec$' -fuzztime 10s ./internal/sctp/
 go test -run '^$' -fuzz '^FuzzIDataReassembly$' -fuzztime 10s ./internal/sctp/
+go test -run '^$' -fuzz '^FuzzDataReassembly$' -fuzztime 10s ./internal/sctp/
 
 stage "coverage floor (internal/sctp)"
 cov=$(go test -cover ./internal/sctp/ | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
